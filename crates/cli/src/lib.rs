@@ -122,9 +122,10 @@ pub enum Command {
         deadline_ms: Option<u64>,
         /// Cap on joins executed by the query.
         max_joins: Option<u64>,
-        /// Route the query through the fault-isolated sharded execution
-        /// layer, over this many skew-aware shards; prints the shard
-        /// layout and the typed coverage report.
+        /// Shard count of the query's skew-aware layout (default: one
+        /// shard per engine thread). Only the layout changes, never the
+        /// answer; the output always reports the layout and the typed
+        /// coverage.
         shards: Option<usize>,
     },
     /// Run a broadcast sweep over community files, then print the
@@ -234,9 +235,9 @@ pub enum Command {
         /// slow community); needs the `chaos` cargo feature.
         chaos: bool,
         /// Targeted chaos mode: `shard-kill`, `shard-stall` or
-        /// `shard-panic` route multi-pair requests through the sharded
-        /// execution layer and attack one shard; `None` is the classic
-        /// community-level fault mix. Implies `chaos`.
+        /// `shard-panic` lay multi-pair requests out on four shards and
+        /// attack one of them; `None` is the classic community-level
+        /// fault mix. Implies `chaos`.
         chaos_mode: Option<String>,
         /// Write the final merged Prometheus exposition here.
         metrics_out: Option<PathBuf>,
@@ -1278,10 +1279,7 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             };
             let d = anchor_c.d();
             let mut config = EngineConfig::new(eps);
-            if let Some(n) = shards {
-                config.shard.enabled = true;
-                config.shard.shards = n;
-            }
+            config.shard.shards = shards.unwrap_or(0);
             let mut engine = CsjEngine::new(d, config);
             let anchor_h = engine
                 .register(anchor_c)
@@ -1305,12 +1303,9 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
             if let Some(max) = max_joins {
                 budget = budget.with_max_joins(max);
             }
-            let partial = if shards.is_some() {
-                engine.screen_and_refine_sharded_with_budget(anchor_h, &handles, &budget)
-            } else {
-                engine.screen_and_refine_with_budget(anchor_h, &handles, &budget)
-            }
-            .map_err(|e| CliError::Io(e.to_string()))?;
+            let partial = engine
+                .screen_and_refine_with_budget(anchor_h, &handles, &budget)
+                .map_err(|e| CliError::Io(e.to_string()))?;
             let exhausted = partial.exhausted;
             let coverage = partial.coverage;
             let mut ranked = partial.value;
@@ -1322,27 +1317,23 @@ pub fn execute(cmd: Command) -> Result<String, CliError> {
                 candidates.len(),
                 engine.community(anchor_h).expect("registered").name()
             );
-            if shards.is_some() {
-                let layout = engine
-                    .shard_layout(&handles)
-                    .map_err(|e| CliError::Io(e.to_string()))?;
+            let layout = engine
+                .shard_layout(&handles)
+                .map_err(|e| CliError::Io(e.to_string()))?;
+            let _ = writeln!(
+                out,
+                "  shard layout: {} shards, masses {:?}, imbalance {:.2}",
+                layout.shards.len(),
+                layout.masses,
+                layout.imbalance()
+            );
+            let _ = writeln!(out, "  shard coverage: {coverage}");
+            if coverage.is_partial() {
                 let _ = writeln!(
                     out,
-                    "  shard layout: {} shards, masses {:?}, imbalance {:.2}",
-                    layout.shards.len(),
-                    layout.masses,
-                    layout.imbalance()
+                    "  (coverage is partial — surviving results are exact, \
+                     but unscreened candidates may be missing)"
                 );
-            }
-            if let Some(cov) = coverage {
-                let _ = writeln!(out, "  shard coverage: {cov}");
-                if cov.is_partial() {
-                    let _ = writeln!(
-                        out,
-                        "  (coverage is partial — surviving results are exact, \
-                         but unscreened candidates may be missing)"
-                    );
-                }
             }
             if let Some(marker) = exhausted {
                 let _ = writeln!(
@@ -2042,9 +2033,8 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
             "--crash-after only makes sense with --durable".into(),
         ));
     }
-    // Shard chaos routes multi-pair requests through the sharded
-    // execution layer, which needs the shard knobs set at engine
-    // construction — the durable ingest path builds its own engine.
+    // Shard chaos needs the shard knobs set at engine construction —
+    // the durable ingest path builds its own engine.
     let shard_chaos = args.chaos_mode.is_some();
     if shard_chaos && args.durable {
         return Err(CliError::Usage(
@@ -2087,7 +2077,6 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
             // cannot serialize its healthy siblings on a small host —
             // hedging needs peer completions to measure stragglers
             // against.
-            config.shard.enabled = true;
             config.shard.shards = 4;
             config.shard.hedge_floor = Duration::from_millis(5);
             config.shard.hedge_min_samples = 2;
@@ -2125,9 +2114,9 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
         use csj_engine::fault::FaultPlan;
         use csj_engine::ShardFaultPlan;
         match args.chaos_mode.as_deref() {
-            // Shard 0 of every sharded request is attacked; the other
-            // shards (and every non-sharded request) stay healthy, so
-            // the blast radius of the fault is exactly one shard.
+            // Shard 0 of every multi-pair request is attacked; the
+            // other shards (and every similarity request) stay healthy,
+            // so the blast radius of the fault is exactly one shard.
             Some("shard-kill") => {
                 // The worker dies before the closure runs, every time:
                 // the hedge dies too, the shard resolves failed, and the
@@ -2386,10 +2375,11 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
     let _ = writeln!(out, "latency: p50<={} p99<={}", fmt_ms(p50), fmt_ms(p99));
     let _ = writeln!(out, "panics-escaped={panics_escaped}");
     // Shard chaos only: reconcile the shard-fate counters. The identity
-    // `dispatched == completed + failed + cancelled` is the sharded
-    // layer's analogue of the service's four fates; a drift means a
-    // shard was dropped or double-counted. (Printed only in shard modes
-    // so the classic soak's `: ok` line count stays stable.)
+    // `dispatched == completed + failed + cancelled` is the shard
+    // executor's analogue of the service's four fates; a drift means a
+    // shard was dropped or double-counted, and the engine's own merge
+    // check must never have fired. (Printed only in shard modes so the
+    // classic soak's `: ok` line count stays stable.)
     let mut shard_ok = true;
     if shard_chaos {
         let dispatched = counter("csj_shard_dispatched_total", &[]);
@@ -2399,13 +2389,14 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
         let hedged = counter("csj_shard_hedged_total", &[]);
         let screened = counter("csj_shard_units_total", &[("fate", "screened")]);
         let skipped = counter("csj_shard_units_total", &[("fate", "skipped")]);
+        let breaches = counter("csj_shard_identity_breaches_total", &[]);
         let _ = writeln!(
             out,
             "shard-coverage: dispatched={dispatched} completed={completed} failed={failed} \
              cancelled={cancelled} hedged={hedged} units-screened={screened} \
-             units-skipped={skipped}"
+             units-skipped={skipped} identity-breaches={breaches}"
         );
-        shard_ok = dispatched > 0 && dispatched == completed + failed + cancelled;
+        shard_ok = dispatched > 0 && dispatched == completed + failed + cancelled && breaches == 0;
         let _ = writeln!(
             out,
             "invariant shard fates reconcile (dispatched == completed + failed + cancelled): {}",
@@ -2969,7 +2960,7 @@ mod tests {
             other => panic!("parsed {other:?}"),
         }
         match parse(&argv("topk --anchor x --candidates a,b --eps 1")).unwrap() {
-            Command::TopK { shards, .. } => assert_eq!(shards, None, "flat path by default"),
+            Command::TopK { shards, .. } => assert_eq!(shards, None, "auto shard count by default"),
             other => panic!("parsed {other:?}"),
         }
         assert!(matches!(
@@ -3029,8 +3020,8 @@ mod tests {
         ));
     }
 
-    /// `--shards` must not change answers: the sharded pipeline merges
-    /// back to the flat ranking bit for bit, and a fault-free run
+    /// `--shards` must not change answers: a two-shard layout merges
+    /// back to the one-shard ranking bit for bit, and a fault-free run
     /// reports complete coverage.
     #[test]
     fn topk_sharded_matches_flat_and_reports_coverage() {
@@ -3048,7 +3039,7 @@ mod tests {
             })
             .unwrap()
         };
-        let flat = run(None);
+        let flat = run(Some(1));
         let sharded = run(Some(2));
         assert!(sharded.contains("shard layout: 2 shards"), "{sharded}");
         assert!(sharded.contains("shard coverage:"), "{sharded}");
@@ -3798,7 +3789,7 @@ mod tests {
         );
     }
 
-    /// Shard-kill chaos: one shard of every sharded request dies, the
+    /// Shard-kill chaos: one shard of every multi-pair request dies, the
     /// rest of the query survives. Correctness degrades to *coverage*,
     /// never to wrong answers or escaped panics. Mirrors the CI shard
     /// soak step.
@@ -3828,7 +3819,7 @@ mod tests {
         .unwrap();
         assert_eq!(report_field(&out, "panics-escaped"), 0, "{out}");
         assert!(report_field(&out, "dispatched") > 0, "{out}");
-        // The attacked shard fails every sharded request: completeness
+        // The attacked shard fails every multi-pair request: completeness
         // is lost (completed < dispatched) and the service surfaces it
         // through the coverage degradation trigger.
         assert!(

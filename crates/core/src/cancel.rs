@@ -14,9 +14,12 @@ use std::sync::Arc;
 /// Shared cancellation flag. Clones observe the same flag; once
 /// [`cancel`](CancelToken::cancel) is called the token stays cancelled
 /// forever (there is no reset — create a fresh token per query instead).
+/// A [`child`](CancelToken::child) token is cancelled on its own or
+/// together with its parent.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
+    parent: Option<Arc<CancelToken>>,
 }
 
 impl CancelToken {
@@ -25,15 +28,28 @@ impl CancelToken {
         Self::default()
     }
 
+    /// A fresh token that also reads as cancelled once `self` is.
+    /// Cancelling the child leaves the parent untouched.
+    pub fn child(&self) -> Self {
+        Self {
+            flag: Arc::default(),
+            parent: Some(Arc::new(self.clone())),
+        }
+    }
+
     /// Trip the flag. Safe to call from any thread, any number of times.
     pub fn cancel(&self) {
         self.flag.store(true, Ordering::Relaxed);
     }
 
-    /// Whether the flag has been tripped.
+    /// Whether the flag (or an ancestor's) has been tripped.
     #[inline]
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Relaxed)
+            || self
+                .parent
+                .as_deref()
+                .is_some_and(CancelToken::is_cancelled)
     }
 }
 
@@ -76,6 +92,20 @@ mod tests {
         let c = t.clone();
         assert_eq!(t, c);
         assert_ne!(t, CancelToken::new());
+    }
+
+    #[test]
+    fn children_follow_their_parent_but_not_back() {
+        let root = CancelToken::new();
+        let child = root.child();
+        let grandchild = child.child();
+        grandchild.cancel();
+        assert!(!child.is_cancelled() && !root.is_cancelled());
+        let sibling = child.child();
+        assert!(!sibling.is_cancelled());
+        root.cancel();
+        assert!(child.is_cancelled() && sibling.is_cancelled());
+        assert_ne!(child, root, "a child has its own flag");
     }
 
     #[test]

@@ -129,8 +129,8 @@ pub struct BudgetExhausted {
 /// Budget exhaustion is *graceful degradation*, not an error — the
 /// value is always well-formed, just possibly incomplete.
 ///
-/// Sharded queries additionally attach a [`Coverage`] report: how many
-/// shards resolved each way and how many candidates were actually
+/// Every multi-pair query also attaches a [`Coverage`] report: how many
+/// shards resolved each way and how many work units were actually
 /// screened. Budget exhaustion and coverage loss are independent — a
 /// query can finish inside its budget yet still be incomplete because a
 /// shard failed (`exhausted: None`, `coverage.is_partial()`).
@@ -140,8 +140,8 @@ pub struct Partial<T> {
     pub value: T,
     /// `Some` when the budget ran out before the query finished.
     pub exhausted: Option<BudgetExhausted>,
-    /// Shard completeness of a sharded query; `None` on unsharded paths.
-    pub coverage: Option<Coverage>,
+    /// Shard completeness of the query.
+    pub coverage: Coverage,
 }
 
 impl<T> Partial<T> {
@@ -150,14 +150,14 @@ impl<T> Partial<T> {
         Self {
             value,
             exhausted: None,
-            coverage: None,
+            coverage: Coverage::default(),
         }
     }
 
     /// Whether the query ran to completion — no budget truncation and
-    /// (for sharded queries) no coverage loss.
+    /// no coverage loss.
     pub fn is_complete(&self) -> bool {
-        self.exhausted.is_none() && !self.coverage.is_some_and(|c| c.is_partial())
+        self.exhausted.is_none() && !self.coverage.is_partial()
     }
 
     /// Unwrap the value, discarding the exhaustion marker.
@@ -167,7 +167,10 @@ impl<T> Partial<T> {
 }
 
 /// Internal helper: build the exhaustion marker for a finished query.
-/// `None` when nothing was skipped (the query completed).
+/// `None` when nothing was skipped (the query completed), and when the
+/// budget still admits work: skips it did not cause (a lost shard, a
+/// shard's deadline slice) are coverage loss, reported through
+/// [`Coverage`] instead.
 pub(crate) fn exhausted_marker(
     budget: &Budget,
     joins: &AtomicU64,
@@ -178,11 +181,8 @@ pub(crate) fn exhausted_marker(
         return None;
     }
     // Deadline/cancellation are monotone and the join counter only
-    // grows, so whatever reason stopped the query still holds here; the
-    // fallback guards a pathological clock and never panics.
-    let reason = budget
-        .exceeded(joins.load(Ordering::Relaxed))
-        .unwrap_or(ExhaustReason::Deadline);
+    // grows, so whatever reason stopped the query still holds here.
+    let reason = budget.exceeded(joins.load(Ordering::Relaxed))?;
     Some(BudgetExhausted {
         reason,
         pairs_done,
@@ -249,33 +249,33 @@ mod tests {
                 pairs_done: 2,
                 pairs_skipped: 5,
             }),
-            coverage: None,
+            coverage: Coverage::default(),
         };
         assert!(!q.is_complete());
         assert_eq!(q.exhausted.unwrap().pairs_skipped, 5);
-        // A sharded query inside its budget but with a lost shard is
-        // partial through the coverage channel alone.
+        // A query inside its budget but with a lost shard is partial
+        // through the coverage channel alone.
         let r = Partial {
             value: 0,
             exhausted: None,
-            coverage: Some(Coverage {
+            coverage: Coverage {
                 dispatched: 2,
                 completed: 1,
                 failed: 1,
                 units_skipped: 3,
                 ..Coverage::default()
-            }),
+            },
         };
         assert!(!r.is_complete());
         let full = Partial {
             value: 0,
             exhausted: None,
-            coverage: Some(Coverage {
+            coverage: Coverage {
                 dispatched: 2,
                 completed: 2,
                 units_screened: 6,
                 ..Coverage::default()
-            }),
+            },
         };
         assert!(full.is_complete());
     }
@@ -289,6 +289,9 @@ mod tests {
         assert_eq!(marker.pairs_done, 1);
         assert_eq!(marker.pairs_skipped, 4);
         assert_eq!(exhausted_marker(&budget, &joins, 5, 0), None);
+        // Skips the budget did not cause are coverage loss, not
+        // exhaustion.
+        assert_eq!(exhausted_marker(&Budget::unlimited(), &joins, 1, 4), None);
     }
 
     #[test]

@@ -8,10 +8,16 @@
 //! Joins are panic-isolated per candidate: one poisoned community shows
 //! up as an [`EngineError::JoinPanicked`] entry in the outcome while the
 //! rest of the query completes normally.
+//!
+//! All of them run on one executor, the supervised [`ShardExecutor`]:
+//! a query's work units are laid out on shards and every result carries
+//! a [`Coverage`] report. An unsharded run is simply the one-shard
+//! layout (`threads = 1` or `shard.shards = 1`) of the same code.
 
 use std::collections::HashMap;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use csj_core::plan::{Exactness, PlanInput, QueryPlan};
@@ -21,7 +27,7 @@ use csj_core::{
     JoinTelemetry, ShardLayout, Similarity, UserId,
 };
 use csj_obs::{ForensicRecord, MetricsSnapshot, QueryTrace};
-use csj_shard::{ShardConfig, ShardCtx, ShardExecutor, ShardOutcome};
+use csj_shard::{ShardConfig, ShardExecutor, ShardOutcome, ShardReport};
 
 use crate::budget::{exhausted_marker, Budget, BudgetExhausted, Partial};
 use crate::error::EngineError;
@@ -47,11 +53,11 @@ pub struct EngineConfig {
     /// Pairs whose *screened* similarity falls below this ratio are not
     /// refined (the paper's "similar-enough group" cut).
     pub screen_threshold: f64,
-    /// Worker threads for multi-pair queries (screening fans out across
-    /// pairs; each join stays single-threaded). The shard executor
-    /// shares this same knob — sharded and flat queries draw from one
-    /// parallelism budget, so enabling sharding never oversubscribes
-    /// the host. The default is the machine's full
+    /// Worker threads of the shard executor that runs every multi-pair
+    /// query (screening and sweeps fan out across shards; each join
+    /// stays single-threaded), and the auto shard count. `1` is the
+    /// one-shard layout: the whole query runs on one worker, in the
+    /// order an unsharded loop would take. The default is the machine's full
     /// `available_parallelism`: each worker is compute-bound with no
     /// blocking I/O, so there is nothing to win from running more
     /// threads than cores (they would only steal each other's cache)
@@ -62,10 +68,10 @@ pub struct EngineConfig {
     /// Cost-based planner: resolves [`CsjMethod::Auto`], ranks the
     /// degradation ladder, refines estimates from measured latencies.
     pub planner: PlannerConfig,
-    /// Sharded execution of multi-pair queries: skew-aware layout,
-    /// per-shard deadline slices, straggler hedging, typed coverage.
-    /// Disabled by default (the `*_sharded_*` entry points still work;
-    /// this knob routes the service's queries through them).
+    /// The shard executor every multi-pair query runs on: shard count
+    /// (0 = one per thread), per-shard deadline slices and straggler
+    /// hedging. Ranked queries lay candidates out by mass; sweeps cut
+    /// the canonical pair order into contiguous ranges.
     pub shard: ShardConfig,
 }
 
@@ -112,14 +118,15 @@ pub struct ScreenOutcome {
     /// panic was contained at the per-candidate boundary and the rest of
     /// the screen completed.
     pub failed: Vec<(CommunityHandle, EngineError)>,
-    /// Candidates never screened because the query's [`Budget`] ran out.
-    /// Always empty for unbudgeted queries.
+    /// Candidates never screened because the query's [`Budget`] ran out
+    /// or their shard was lost. Empty for a complete query.
     pub skipped: Vec<CommunityHandle>,
 }
 
 /// Resume point of a truncated [`CsjEngine::pairs_above_with_budget`]
-/// sweep: the first pair the sweep did *not* process. Feed it back to
-/// continue exactly where the budget ran out.
+/// sweep: the first pair, in canonical order, the sweep did *not*
+/// process — whether the budget stopped its range or the range's shard
+/// was lost. Feed it back to continue exactly there.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PairsCursor {
     i: u32,
@@ -129,13 +136,14 @@ pub struct PairsCursor {
 /// Result of a (possibly budgeted) broadcast sweep.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct PairsSweep {
-    /// Pairs whose exact similarity reached the threshold, best first.
+    /// Pairs before the cursor whose exact similarity reached the
+    /// threshold, best first.
     pub pairs: Vec<PairScore>,
-    /// Where to resume when the budget ran out; `None` means the sweep
-    /// covered every pair.
+    /// Where to resume when the budget ran out or a range was lost;
+    /// `None` means the sweep covered every pair.
     pub cursor: Option<PairsCursor>,
-    /// Pairs whose join panicked or hit an injected fault; the sweep
-    /// carried on past them.
+    /// Pairs before the cursor whose join panicked or hit an injected
+    /// fault; the sweep carried on past them.
     pub failed: Vec<(CommunityHandle, CommunityHandle, EngineError)>,
 }
 
@@ -184,14 +192,9 @@ struct Registered {
     /// share it without cloning the buffers, `Mutex` so concurrent
     /// `&self` queries can build it lazily.
     prepared: Mutex<Option<Arc<PreparedCommunity>>>,
-}
-
-/// Per-candidate result of a screening worker.
-enum Screened {
-    Scored(Similarity),
-    Inadmissible,
-    Skipped,
-    Failed(EngineError),
+    /// Shard-layout mass ([`community_mass`]) of this version; 0 until
+    /// first needed (a real mass is at least 1).
+    mass: AtomicU64,
 }
 
 /// The multi-community CSJ engine. Queries take `&self`, so an
@@ -285,6 +288,7 @@ impl CsjEngine {
             community: Arc::new(community),
             version: 0,
             prepared: Mutex::new(None),
+            mass: AtomicU64::new(0),
         });
         Ok(CommunityHandle(handle))
     }
@@ -553,8 +557,9 @@ impl CsjEngine {
     fn bump_version(&mut self, handle: u32) {
         let entry = &mut self.entries[handle as usize];
         entry.version += 1;
-        // Encodings are stale now.
+        // Encodings and the layout mass are stale now.
         *entry.prepared.get_mut().unwrap_or_else(|e| e.into_inner()) = None;
+        *entry.mass.get_mut() = 0;
         self.cache
             .get_mut()
             .unwrap_or_else(|e| e.into_inner())
@@ -726,30 +731,42 @@ impl CsjEngine {
     }
 
     /// [`screen`](CsjEngine::screen) under a [`Budget`]. Candidates the
-    /// budget never admitted land in [`ScreenOutcome::skipped`] and the
-    /// returned [`Partial`] carries the exhaustion marker.
+    /// budget never admitted (or whose shard was lost) land in
+    /// [`ScreenOutcome::skipped`]; the returned [`Partial`] carries the
+    /// exhaustion marker and the shard [`Coverage`].
     pub fn screen_with_budget(
         &self,
         x: CommunityHandle,
         candidates: &[CommunityHandle],
         budget: &Budget,
     ) -> Result<Partial<ScreenOutcome>, EngineError> {
-        let joins = AtomicU64::new(0);
-        let rec = self.obs.start_recorder("screen");
-        self.obs.on_query("screen");
-        let (outcome, done, skipped) =
-            match self.screen_budgeted(x, candidates, budget, &joins, Some(&rec)) {
-                Ok(screened) => screened,
-                Err(e) => return Err(self.trace_failure(rec, e)),
-            };
-        rec.end_phase("screen", 0);
-        let exhausted = exhausted_marker(budget, &joins, done, skipped);
-        self.finish_trace(rec, exhausted);
+        let run = self.start_query("screen", budget);
+        let (outcome, coverage) = match self.screen_phase(x, candidates, &run) {
+            Ok(screened) => screened,
+            Err(e) => return Err(self.trace_failure(run.rec, e)),
+        };
+        let exhausted = exhausted_marker(
+            budget,
+            &run.joins,
+            coverage.units_screened,
+            coverage.units_skipped,
+        );
+        self.finish_trace(run.rec, exhausted);
         Ok(Partial {
             value: outcome,
             exhausted,
-            coverage: None,
+            coverage,
         })
+    }
+
+    /// Start one multi-pair query of `kind` under `budget`.
+    fn start_query<'b>(&self, kind: &'static str, budget: &'b Budget) -> QueryRun<'b> {
+        self.obs.on_query(kind);
+        QueryRun {
+            budget,
+            joins: AtomicU64::new(0),
+            rec: self.obs.start_recorder(kind),
+        }
     }
 
     /// Close out a query whose recorder saw a hard error: the trace (if
@@ -777,130 +794,117 @@ impl CsjEngine {
         }
     }
 
-    /// Screening core shared by the budgeted entry points. Returns the
-    /// outcome plus (candidates processed, candidates skipped); `joins`
-    /// accumulates this query's join count across phases.
-    fn screen_budgeted(
+    /// The screen phase of every ranked query. Candidates are laid out
+    /// on mass-balanced shards ([`CsjEngine::shard_layout`]), each shard
+    /// screens its members in candidate order on the executor, and the
+    /// merged states partition into a [`ScreenOutcome`] in candidate
+    /// order (shortlist best first). Closes the trace's `screen` phase.
+    fn screen_phase(
         &self,
         x: CommunityHandle,
         candidates: &[CommunityHandle],
-        budget: &Budget,
-        joins: &AtomicU64,
-        rec: Option<&QueryRecorder>,
-    ) -> Result<(ScreenOutcome, u64, u64), EngineError> {
+        run: &QueryRun<'_>,
+    ) -> Result<(ScreenOutcome, Coverage), EngineError> {
         self.community(x)?;
-        for &c in candidates {
-            self.community(c)?;
-        }
-        // Prepare every participant once (&mut phase), then fan the
-        // actual joins out over shared Arcs (&self phase).
+        let layout = self.shard_layout(candidates)?;
+        // Prepare every participant once on the calling thread, then
+        // fan the joins out over shared Arcs.
         let px = self.prepared(x.0);
         let prepared: Vec<Arc<PreparedCommunity>> =
             candidates.iter().map(|&c| self.prepared(c.0)).collect();
-        let qopts = self
-            .config
-            .options
-            .clone()
-            .with_cancel(budget.cancel_token());
+        let reports =
+            self.shard_executor()
+                .run(layout.shards.len(), &run.budget.cancel_token(), |ctx| {
+                    let qopts = self.config.options.clone().with_cancel(ctx.cancel.clone());
+                    layout.shards[ctx.shard]
+                        .iter()
+                        .map(|&idx| {
+                            let state = self.screen_candidate(
+                                candidates[idx],
+                                &px,
+                                &prepared[idx],
+                                &qopts,
+                                run,
+                            );
+                            (idx, state)
+                        })
+                        .collect()
+                });
+        let sizes: Vec<usize> = layout.shards.iter().map(Vec::len).collect();
+        let (states, coverage) = self.merge_shards(reports, &sizes, candidates.len(), &run.rec);
+        run.rec.end_phase("screen", 0);
 
-        let inputs: Vec<(CommunityHandle, Arc<PreparedCommunity>)> =
-            candidates.iter().copied().zip(prepared).collect();
-        let results = self.parallel_map(&inputs, |(cand, py)| {
-            if budget.exceeded(joins.load(Ordering::Relaxed)).is_some() {
-                // Trip the shared token so in-flight sibling joins stop
-                // at their next per-row check too.
-                budget.cancel();
-                return (*cand, Screened::Skipped);
+        let mut out = ScreenOutcome::default();
+        for (&cand, state) in candidates.iter().zip(states) {
+            match state.unwrap_or(Screened::Skipped) {
+                Screened::Scored(s) if s.ratio() >= self.config.screen_threshold => {
+                    out.shortlisted.push((cand, s));
+                }
+                Screened::Scored(s) => out.rejected.push((cand, s)),
+                Screened::Inadmissible => out.inadmissible.push(cand),
+                Screened::Skipped => out.skipped.push(cand),
+                // Faults and panics degrade per candidate; anything else
+                // is a real configuration/state error and is surfaced
+                // (first in candidate order) instead of being silently
+                // folded into "inadmissible".
+                Screened::Failed(e) if !degrades_per_pair(&e) => return Err(e),
+                Screened::Failed(e) => out.failed.push((cand, e)),
             }
-            if let Err(e) = self.fault_hook(cand.0) {
-                return (*cand, Screened::Failed(e));
-            }
+        }
+        out.shortlisted
+            .sort_by(|p, q| q.1.ratio().total_cmp(&p.1.ratio()));
+        Ok((out, coverage))
+    }
+
+    /// Screen one candidate inside its shard: budget admission, then
+    /// the approximate join inside the per-candidate panic boundary.
+    /// `qopts` carries the shard attempt's cancel token.
+    fn screen_candidate(
+        &self,
+        cand: CommunityHandle,
+        px: &Arc<PreparedCommunity>,
+        py: &Arc<PreparedCommunity>,
+        qopts: &CsjOptions,
+        run: &QueryRun<'_>,
+    ) -> Screened {
+        if !run.admits() || qopts.is_cancelled() {
+            return Screened::Skipped;
+        }
+        let screened = catch_unwind(AssertUnwindSafe(|| {
+            self.fault_hook(cand.0)?;
             let (b, a) = if px.len() <= py.len() {
-                (&px, py)
+                (px, py)
             } else {
-                (py, &px)
+                (py, px)
             };
-            match self.join_prepared(
+            self.join_prepared(
                 self.config.screen_method,
                 Exactness::Approximate,
                 b,
                 a,
-                &qopts,
-                rec,
-            ) {
-                Ok(similarity) => {
-                    joins.fetch_add(1, Ordering::Relaxed);
-                    (*cand, Screened::Scored(similarity))
-                }
-                Err(EngineError::Csj(CsjError::SizeConstraint { .. })) => {
-                    (*cand, Screened::Inadmissible)
-                }
-                Err(EngineError::Cancelled) => {
-                    joins.fetch_add(1, Ordering::Relaxed);
-                    (*cand, Screened::Skipped)
-                }
-                Err(other) => (*cand, Screened::Failed(other)),
+                qopts,
+                Some(&run.rec),
+            )
+        }));
+        match screened {
+            Err(payload) => {
+                self.obs.on_join_panicked();
+                Screened::Failed(EngineError::JoinPanicked {
+                    handle: cand.0,
+                    message: panic_message(payload),
+                })
             }
-        });
-
-        let mut out = ScreenOutcome::default();
-        let mut pairs_done = 0u64;
-        let mut pairs_skipped = 0u64;
-        let mut hard_error: Option<EngineError> = None;
-        for (slot, (cand, _)) in results.into_iter().zip(&inputs) {
-            match slot {
-                // The worker itself panicked: contained at the
-                // per-candidate boundary, reported against the handle.
-                Err(message) => {
-                    pairs_done += 1;
-                    self.obs.on_join_panicked();
-                    out.failed.push((
-                        *cand,
-                        EngineError::JoinPanicked {
-                            handle: cand.0,
-                            message,
-                        },
-                    ));
-                }
-                Ok((cand, Screened::Scored(s))) => {
-                    pairs_done += 1;
-                    if s.ratio() >= self.config.screen_threshold {
-                        out.shortlisted.push((cand, s));
-                    } else {
-                        out.rejected.push((cand, s));
-                    }
-                }
-                Ok((cand, Screened::Inadmissible)) => {
-                    pairs_done += 1;
-                    out.inadmissible.push(cand);
-                }
-                Ok((cand, Screened::Skipped)) => {
-                    pairs_skipped += 1;
-                    out.skipped.push(cand);
-                }
-                Ok((cand, Screened::Failed(e))) => {
-                    pairs_done += 1;
-                    // Faults and panics degrade per candidate; anything
-                    // else is a real configuration/state error and is
-                    // surfaced (first in candidate order) instead of
-                    // being silently folded into "inadmissible".
-                    if !matches!(
-                        e,
-                        EngineError::Faulted { .. } | EngineError::JoinPanicked { .. }
-                    ) && hard_error.is_none()
-                    {
-                        hard_error = Some(e.clone());
-                    }
-                    out.failed.push((cand, e));
-                }
+            Ok(Ok(similarity)) => {
+                run.joins.fetch_add(1, Ordering::Relaxed);
+                Screened::Scored(similarity)
             }
+            Ok(Err(EngineError::Csj(CsjError::SizeConstraint { .. }))) => Screened::Inadmissible,
+            Ok(Err(EngineError::Cancelled)) => {
+                run.joins.fetch_add(1, Ordering::Relaxed);
+                Screened::Skipped
+            }
+            Ok(Err(other)) => Screened::Failed(other),
         }
-        if let Some(e) = hard_error {
-            return Err(e);
-        }
-        out.shortlisted
-            .sort_by(|p, q| q.1.ratio().total_cmp(&p.1.ratio()));
-        Ok((out, pairs_done, pairs_skipped))
     }
 
     /// The full two-phase pipeline of Section 3: screen `candidates`,
@@ -909,6 +913,9 @@ impl CsjEngine {
     /// faulted are dropped from the ranking (use
     /// [`screen_with_budget`](CsjEngine::screen_with_budget) to see
     /// them); the query itself never aborts on a per-candidate panic.
+    /// A shard lost to its deadline slice or a shard-level fault leaves
+    /// the ranking exact but partial; the `_with_budget` form reports
+    /// that through [`Partial::coverage`].
     pub fn screen_and_refine(
         &self,
         x: CommunityHandle,
@@ -935,6 +942,10 @@ impl CsjEngine {
     /// [`screen_and_refine_with_budget`](CsjEngine::screen_and_refine_with_budget)
     /// and [`top_k_similar_with_budget`](CsjEngine::top_k_similar_with_budget);
     /// `kind` labels the query in metrics and its flight-recorder trace.
+    /// The screen fans out over the executor's shards; the refine walks
+    /// the merged global shortlist in order on the calling thread, so
+    /// the budget always cuts a suffix of the shortlist and the ranking
+    /// is the same at every shard and thread count.
     fn ranked_query(
         &self,
         kind: &'static str,
@@ -942,16 +953,14 @@ impl CsjEngine {
         candidates: &[CommunityHandle],
         budget: &Budget,
     ) -> Result<Partial<Vec<PairScore>>, EngineError> {
-        let joins = AtomicU64::new(0);
-        let rec = self.obs.start_recorder(kind);
-        self.obs.on_query(kind);
-        let (screened, mut done, mut skipped) =
-            match self.screen_budgeted(x, candidates, budget, &joins, Some(&rec)) {
-                Ok(screened) => screened,
-                Err(e) => return Err(self.trace_failure(rec, e)),
-            };
-        rec.end_phase("screen", 0);
-        let refine_start = rec.now_us();
+        let run = self.start_query(kind, budget);
+        let (screened, coverage) = match self.screen_phase(x, candidates, &run) {
+            Ok(screened) => screened,
+            Err(e) => return Err(self.trace_failure(run.rec, e)),
+        };
+        let mut done = coverage.units_screened;
+        let mut skipped = coverage.units_skipped;
+        let refine_start = run.rec.now_us();
         let qopts = self
             .config
             .options
@@ -960,12 +969,11 @@ impl CsjEngine {
         let shortlist = screened.shortlisted;
         let mut refined = Vec::with_capacity(shortlist.len());
         for (idx, &(cand, _)) in shortlist.iter().enumerate() {
-            if budget.exceeded(joins.load(Ordering::Relaxed)).is_some() {
-                budget.cancel();
+            if !run.admits() {
                 skipped += (shortlist.len() - idx) as u64;
                 break;
             }
-            match self.refine_pair(x, cand, &qopts, &joins, Some(&rec)) {
+            match self.refine_pair(x, cand, &qopts, &run.joins, Some(&run.rec)) {
                 Ok(similarity) => {
                     done += 1;
                     refined.push(PairScore {
@@ -981,25 +989,25 @@ impl CsjEngine {
                     break;
                 }
                 // Panic/fault: drop this candidate, keep ranking the rest.
-                Err(EngineError::JoinPanicked { .. }) | Err(EngineError::Faulted { .. }) => {
-                    done += 1;
-                }
-                Err(other) => return Err(self.trace_failure(rec, other)),
+                Err(e) if degrades_per_pair(&e) => done += 1,
+                Err(other) => return Err(self.trace_failure(run.rec, other)),
             }
         }
-        rec.end_phase("refine", refine_start);
+        run.rec.end_phase("refine", refine_start);
         refined.sort_by(|p, q| q.similarity.ratio().total_cmp(&p.similarity.ratio()));
-        let exhausted = exhausted_marker(budget, &joins, done, skipped);
-        self.finish_trace(rec, exhausted);
+        let exhausted = exhausted_marker(budget, &run.joins, done, skipped);
+        self.finish_trace(run.rec, exhausted);
         Ok(Partial {
             value: refined,
             exhausted,
-            coverage: None,
+            coverage,
         })
     }
 
     /// The `k` registered communities most similar to `x` (exact scores,
-    /// via screen-and-refine over everything admissible).
+    /// via screen-and-refine over everything admissible). Like
+    /// [`screen_and_refine`](CsjEngine::screen_and_refine), a lost shard
+    /// leaves it partial; the `_with_budget` form reports the coverage.
     pub fn top_k_similar(
         &self,
         x: CommunityHandle,
@@ -1039,7 +1047,8 @@ impl CsjEngine {
     /// Runs unbudgeted; the first panicked/faulted pair (if any) is
     /// surfaced as its error. Use
     /// [`pairs_above_with_budget`](CsjEngine::pairs_above_with_budget)
-    /// for deadline-bounded, degradable sweeps.
+    /// for deadline-bounded, degradable sweeps, and to see the cursor
+    /// and coverage when a shard's range is lost.
     pub fn pairs_above(&self, threshold: f64) -> Result<Vec<PairScore>, EngineError> {
         let swept = self
             .pairs_above_with_budget(threshold, &Budget::unlimited(), None)?
@@ -1051,19 +1060,21 @@ impl CsjEngine {
     }
 
     /// [`pairs_above`](CsjEngine::pairs_above) under a [`Budget`], with
-    /// resume. The sweep walks pairs in a canonical order; when the
-    /// budget runs out it stops *before* the next pair and returns that
-    /// position as [`PairsSweep::cursor`], so a later call (with a fresh
-    /// budget) picks up exactly where this one left off — pairs already
-    /// refined are served from the cache. Pairs whose join panicked or
-    /// faulted land in [`PairsSweep::failed`] and the sweep carries on.
+    /// resume. The sweep walks pairs in a canonical order, cut into one
+    /// contiguous range per shard. When the budget runs out, or a
+    /// shard's range is lost, [`PairsSweep::cursor`] names the first
+    /// pair not processed, and [`PairsSweep::pairs`] holds exactly the
+    /// hits before it — so a later call (with a fresh budget) picks up
+    /// where this one left off. Pairs already refined are served from
+    /// the cache. Pairs whose join panicked or faulted land in
+    /// [`PairsSweep::failed`] and the sweep carries on.
     pub fn pairs_above_with_budget(
         &self,
         threshold: f64,
         budget: &Budget,
         resume: Option<PairsCursor>,
     ) -> Result<Partial<PairsSweep>, EngineError> {
-        self.sweep_budgeted(threshold, budget, resume, false)
+        self.sweep(threshold, budget, resume, false)
     }
 
     /// Degraded broadcast sweep: *approximate only*. Each admissible
@@ -1083,93 +1094,124 @@ impl CsjEngine {
         budget: &Budget,
         resume: Option<PairsCursor>,
     ) -> Result<Partial<PairsSweep>, EngineError> {
-        self.sweep_budgeted(threshold, budget, resume, true)
+        self.sweep(threshold, budget, resume, true)
     }
 
     /// Sweep core shared by the exact and approximate (degraded)
-    /// broadcast entry points.
-    fn sweep_budgeted(
+    /// broadcast entry points: one executor shard per contiguous range
+    /// of the canonical pair order, merged back into the processed
+    /// prefix of that order.
+    fn sweep(
         &self,
         threshold: f64,
         budget: &Budget,
         resume: Option<PairsCursor>,
         approx: bool,
     ) -> Result<Partial<PairsSweep>, EngineError> {
-        let n = self.entries.len() as u32;
-        let joins = AtomicU64::new(0);
-        let rec = self.obs.start_recorder("pairs_above");
-        self.obs.on_query("pairs_above");
-        let qopts = self
-            .config
-            .options
-            .clone()
-            .with_cancel(budget.cancel_token());
-        let mut sweep = PairsSweep::default();
-        let mut pairs_done = 0u64;
-        let (start_i, start_j) = resume.map_or((0, 1), |c| (c.i, c.j));
-        'outer: for i in start_i..n {
-            let j_lo = if i == start_i {
-                start_j.max(i + 1)
-            } else {
-                i + 1
-            };
-            for j in j_lo..n {
-                let x = CommunityHandle(i);
-                let y = CommunityHandle(j);
-                if budget.exceeded(joins.load(Ordering::Relaxed)).is_some() {
-                    budget.cancel();
-                    sweep.cursor = Some(PairsCursor { i, j });
-                    break 'outer;
-                }
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    self.sweep_pair(x, y, threshold, &qopts, &joins, Some(&rec), approx)
-                }));
-                match outcome {
-                    Err(payload) => {
-                        pairs_done += 1;
-                        self.obs.on_join_panicked();
-                        sweep.failed.push((
-                            x,
-                            y,
-                            EngineError::JoinPanicked {
+        let run = self.start_query("pairs_above", budget);
+        let pairs = self.canonical_pairs(resume);
+        let ranges = self.pair_ranges(&pairs);
+        let reports = self
+            .shard_executor()
+            .run(ranges.len(), &budget.cancel_token(), |ctx| {
+                let qopts = self.config.options.clone().with_cancel(ctx.cancel.clone());
+                let mut out = Vec::with_capacity(ranges[ctx.shard].len());
+                let mut stop = false;
+                for idx in ranges[ctx.shard].clone() {
+                    stop = stop || !run.admits() || qopts.is_cancelled();
+                    if stop {
+                        out.push((idx, SweptPair::Skipped));
+                        continue;
+                    }
+                    let x = CommunityHandle(pairs[idx].0);
+                    let y = CommunityHandle(pairs[idx].1);
+                    let swept = catch_unwind(AssertUnwindSafe(|| {
+                        self.sweep_pair(x, y, threshold, &qopts, &run.joins, Some(&run.rec), approx)
+                    }));
+                    let state = match swept {
+                        Err(payload) => {
+                            self.obs.on_join_panicked();
+                            SweptPair::Failed(EngineError::JoinPanicked {
                                 handle: y.0,
                                 message: panic_message(payload),
-                            },
-                        ));
-                    }
-                    Ok(Ok(Some(score))) => {
-                        pairs_done += 1;
-                        sweep.pairs.push(score);
-                    }
-                    Ok(Ok(None)) => pairs_done += 1,
-                    // A join truncated mid-flight: this pair was not
-                    // fully processed, so resume from it.
-                    Ok(Err(EngineError::Cancelled)) => {
-                        sweep.cursor = Some(PairsCursor { i, j });
-                        break 'outer;
-                    }
-                    Ok(Err(e)) => match e {
-                        EngineError::JoinPanicked { .. } | EngineError::Faulted { .. } => {
-                            pairs_done += 1;
-                            sweep.failed.push((x, y, e));
+                            })
                         }
-                        other => return Err(self.trace_failure(rec, other)),
-                    },
+                        Ok(Ok(Some(score))) => SweptPair::Hit(score),
+                        Ok(Ok(None)) => SweptPair::Miss,
+                        // A join truncated mid-flight: this pair was not
+                        // fully processed, so the range stops here.
+                        Ok(Err(EngineError::Cancelled)) => {
+                            stop = true;
+                            SweptPair::Skipped
+                        }
+                        Ok(Err(e)) => SweptPair::Failed(e),
+                    };
+                    out.push((idx, state));
                 }
+                out
+            });
+        let sizes: Vec<usize> = ranges.iter().map(ExactSizeIterator::len).collect();
+        let (states, coverage) = self.merge_shards(reports, &sizes, pairs.len(), &run.rec);
+        run.rec.end_phase("sweep", 0);
+
+        // The result is the processed prefix of the canonical order; the
+        // cursor is the first pair after it, whether the budget stopped
+        // its range or the range was lost. Hits past the cursor are
+        // dropped: a resume recomputes them (refined ones from cache).
+        let cut = states
+            .iter()
+            .position(|s| !s.as_ref().is_some_and(ShardUnit::processed))
+            .unwrap_or(pairs.len());
+        let mut sweep = PairsSweep {
+            cursor: pairs.get(cut).map(|&(i, j)| PairsCursor { i, j }),
+            ..PairsSweep::default()
+        };
+        for (&(i, j), state) in pairs.iter().zip(states).take(cut) {
+            match state {
+                Some(SweptPair::Hit(score)) => sweep.pairs.push(score),
+                Some(SweptPair::Failed(e)) if !degrades_per_pair(&e) => {
+                    return Err(self.trace_failure(run.rec, e));
+                }
+                Some(SweptPair::Failed(e)) => {
+                    sweep
+                        .failed
+                        .push((CommunityHandle(i), CommunityHandle(j), e));
+                }
+                _ => {}
             }
         }
         sweep
             .pairs
             .sort_by(|p, q| q.similarity.ratio().total_cmp(&p.similarity.ratio()));
-        rec.end_phase("sweep", 0);
-        let pairs_skipped = sweep.cursor.map_or(0, |c| Self::remaining_pairs(n, c));
-        let exhausted = exhausted_marker(budget, &joins, pairs_done, pairs_skipped);
-        self.finish_trace(rec, exhausted);
+        let exhausted = exhausted_marker(
+            budget,
+            &run.joins,
+            coverage.units_screened,
+            coverage.units_skipped,
+        );
+        self.finish_trace(run.rec, exhausted);
         Ok(Partial {
             value: sweep,
             exhausted,
-            coverage: None,
+            coverage,
         })
+    }
+
+    /// The canonical `(i < j)` pair order, lexicographic, from `resume`
+    /// (or the first pair) to the end.
+    fn canonical_pairs(&self, resume: Option<PairsCursor>) -> Vec<(u32, u32)> {
+        let n = self.entries.len() as u32;
+        let (start_i, start_j) = resume.map_or((0, 1), |c| (c.i, c.j));
+        (start_i..n)
+            .flat_map(|i| {
+                let lo = if i == start_i {
+                    start_j.max(i + 1)
+                } else {
+                    i + 1
+                };
+                (lo..n).map(move |j| (i, j))
+            })
+            .collect()
     }
 
     /// One pair of the broadcast sweep: admissibility, cheap screen with
@@ -1245,14 +1287,6 @@ impl CsjEngine {
         } else {
             Ok(None)
         }
-    }
-
-    /// Number of pairs a sweep starting at `cursor` still has to visit
-    /// (the cursor's own pair included).
-    fn remaining_pairs(n: u32, cursor: PairsCursor) -> u64 {
-        let n = u64::from(n);
-        let rest = n.saturating_sub(u64::from(cursor.i) + 1);
-        n.saturating_sub(u64::from(cursor.j)) + rest.saturating_sub(1) * rest / 2
     }
 
     /// Resolve the cost-based plan for one pair without running a join:
@@ -1369,90 +1403,21 @@ impl CsjEngine {
             telemetry: *self.telemetry.lock().unwrap_or_else(|e| e.into_inner()),
         }
     }
-
-    /// Order-preserving parallel map over a slice (workers steal by
-    /// index; results land in input order). Each item runs inside its
-    /// own `catch_unwind` boundary: a panic in `f` is captured as
-    /// `Err(message)` in that item's slot — prefixed with the item's
-    /// index, so the report names *which* input was poisoned — while
-    /// every other item completes normally.
-    fn parallel_map<'s, T: Sync, R: Send>(
-        &'s self,
-        items: &'s [T],
-        f: impl Fn(&T) -> R + Sync + 's,
-    ) -> Vec<Result<R, String>> {
-        let run_one = |i: usize, item: &T| {
-            catch_unwind(AssertUnwindSafe(|| f(item)))
-                .map_err(|payload| format!("item {i}: {}", panic_message(payload)))
-        };
-        let threads = self.config.threads.max(1).min(items.len().max(1));
-        if threads <= 1 {
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| run_one(i, item))
-                .collect();
-        }
-        let mut results: Vec<Option<Result<R, String>>> = Vec::with_capacity(items.len());
-        results.resize_with(items.len(), || None);
-        let results_cell = std::sync::Mutex::new(&mut results);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let r = run_one(i, &items[i]);
-                    // Worker panics are caught above, so the mutex can't
-                    // be poisoned by `f`; recover defensively anyway.
-                    results_cell.lock().unwrap_or_else(|e| e.into_inner())[i] = Some(r);
-                });
-            }
-        });
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(i, r)| {
-                // A lost slot means a worker died between claiming the
-                // index and reporting — name the item instead of panicking
-                // the whole query.
-                r.unwrap_or_else(|| Err(format!("item {i}: worker lost before reporting a result")))
-            })
-            .collect()
-    }
 }
 
-/// Per-candidate terminal state inside one shard of a ranked query.
-/// Shards report these per member; the merge folds them into the
-/// ranking, the budget marker and the [`Coverage`] report.
-enum ShardScored {
-    /// Never screened: the budget ran out, or the attempt was cancelled
-    /// (slice timeout / hedge race / global cancel) before its turn.
-    Skipped,
-    /// Screened: the pair violates the size constraint.
+/// Per-candidate result of the screen phase.
+enum Screened {
+    Scored(Similarity),
     Inadmissible,
-    /// The screen join failed (panic, injected fault, or hard error).
-    ScreenFailed(EngineError),
-    /// Screened below the refine threshold.
-    Rejected,
-    /// Screened and refined: (screen score, exact score). The screen
-    /// score orders the merge exactly like the flat pipeline's
-    /// shortlist.
-    Refined(Similarity, Similarity),
-    /// Shortlisted, but the refine join panicked or faulted (dropped
-    /// from the ranking, as on the flat path).
-    RefineDropped,
-    /// Shortlisted, but the budget or the attempt's cancel token ran
-    /// out before its refine join.
-    RefineSkipped,
+    /// Never screened: the budget ran out, or the shard attempt was
+    /// cancelled (slice timeout, hedge race, global cancel) first.
+    Skipped,
+    Failed(EngineError),
 }
 
-/// Per-pair terminal state inside one shard of a sharded broadcast
-/// sweep.
+/// Per-pair result of one sweep range.
 enum SweptPair {
-    /// Exact similarity reached the threshold.
+    /// Similarity reached the threshold.
     Hit(PairScore),
     /// Processed, below the threshold (or inadmissible).
     Miss,
@@ -1463,15 +1428,95 @@ enum SweptPair {
     Failed(EngineError),
 }
 
-/// Sharded execution of the multi-pair queries. Candidates are
-/// partitioned into mass-balanced shards ([`plan_shards`] over
+/// A unit state a shard reports back to [`CsjEngine::merge_shards`].
+trait ShardUnit {
+    /// Whether the unit was processed, as opposed to skipped.
+    fn processed(&self) -> bool;
+}
+
+impl ShardUnit for Screened {
+    fn processed(&self) -> bool {
+        !matches!(self, Screened::Skipped)
+    }
+}
+
+impl ShardUnit for SweptPair {
+    fn processed(&self) -> bool {
+        !matches!(self, SweptPair::Skipped)
+    }
+}
+
+/// State shared by every phase and shard of one multi-pair query.
+struct QueryRun<'b> {
+    budget: &'b Budget,
+    /// Joins this query executed, across phases and shards.
+    joins: AtomicU64,
+    rec: QueryRecorder,
+}
+
+impl QueryRun<'_> {
+    /// Whether the budget still admits work. When it does not, the
+    /// budget's shared token is tripped so in-flight sibling joins stop
+    /// at their next per-row check too.
+    fn admits(&self) -> bool {
+        if self
+            .budget
+            .exceeded(self.joins.load(Ordering::Relaxed))
+            .is_some()
+        {
+            self.budget.cancel();
+            return false;
+        }
+        true
+    }
+}
+
+/// Whether a join error degrades just its own pair (panics and injected
+/// faults) rather than failing the query.
+fn degrades_per_pair(e: &EngineError) -> bool {
+    matches!(
+        e,
+        EngineError::Faulted { .. } | EngineError::JoinPanicked { .. }
+    )
+}
+
+/// Cut `weights` into `parts` contiguous, non-empty ranges of about
+/// equal summed weight (fewer when there are fewer items).
+fn contiguous_ranges(weights: &[u64], parts: usize) -> Vec<Range<usize>> {
+    let parts = parts.clamp(1, weights.len().max(1));
+    let total: u128 = weights.iter().map(|&w| u128::from(w)).sum();
+    let mut ranges = Vec::with_capacity(parts);
+    let mut start = 0;
+    let mut acc = 0u128;
+    for (idx, &w) in weights.iter().enumerate() {
+        acc += u128::from(w);
+        let closing = ranges.len() + 1;
+        let left = weights.len() - idx - 1;
+        let reached = acc * parts as u128 >= total * closing as u128;
+        // Close the range once it holds its share of the weight, or
+        // when every later range needs one of the items that are left.
+        if closing < parts && left >= parts - closing && (reached || left == parts - closing) {
+            ranges.push(start..idx + 1);
+            start = idx + 1;
+        }
+    }
+    if start < weights.len() {
+        ranges.push(start..weights.len());
+    }
+    ranges
+}
+
+/// The executor side of the multi-pair queries. Every one of them runs
+/// on the supervised [`ShardExecutor`]: ranked queries screen over
+/// mass-balanced candidate shards ([`plan_shards`] over
 /// [`community_mass`], so one giant community cannot serialise the
-/// query behind it); each shard runs under its own deadline slice and
-/// panic boundary on the supervised [`ShardExecutor`] pool, stragglers
-/// are hedged, and the surviving per-unit states merge into a result
-/// that is bit-identical to the flat pipeline when every shard
-/// completes. Lost shards shrink the attached [`Coverage`] report
-/// instead of failing the query. See `DESIGN.md` §17.
+/// query behind it), sweeps over contiguous ranges of the canonical
+/// pair order. Each shard runs under its own deadline slice and panic
+/// boundary, stragglers are hedged, and the surviving per-unit states
+/// merge into a result that is bit-identical at every shard and thread
+/// count. Lost shards shrink the attached [`Coverage`] report instead
+/// of failing the query. One shard is the unsharded layout. See
+/// `DESIGN.md` §17.
 impl CsjEngine {
     /// How many shards a query over `units` work units gets: the
     /// configured count ([`ShardConfig::shards`]; 0 = auto, one per
@@ -1485,9 +1530,8 @@ impl CsjEngine {
         want.clamp(1, units.max(1))
     }
 
-    /// The shard executor for one query. It shares
-    /// [`EngineConfig::threads`] with the flat path, so sharding never
-    /// oversubscribes the host.
+    /// The shard executor for one query. Its pool is
+    /// [`EngineConfig::threads`] wide.
     fn shard_executor(&self) -> ShardExecutor {
         let executor = ShardExecutor::new(self.config.shard.clone(), self.config.threads);
         #[cfg(feature = "fault-injection")]
@@ -1495,122 +1539,71 @@ impl CsjEngine {
         executor
     }
 
-    /// The skew-aware layout a sharded ranked query over `candidates`
-    /// would use: members balanced by part-sum mass, not by count.
-    /// This is what `csj explain` surfaces.
+    /// Part-sum placement mass of a community ([`community_mass`]),
+    /// computed once per community version.
+    fn mass(&self, handle: u32) -> u64 {
+        let entry = &self.entries[handle as usize];
+        match entry.mass.load(Ordering::Relaxed) {
+            0 => {
+                let mass = community_mass(&entry.community);
+                entry.mass.store(mass, Ordering::Relaxed);
+                mass
+            }
+            mass => mass,
+        }
+    }
+
+    /// The skew-aware layout a ranked query over `candidates` uses:
+    /// members balanced by part-sum mass, not by count. This is what
+    /// `csj topk` surfaces.
     pub fn shard_layout(&self, candidates: &[CommunityHandle]) -> Result<ShardLayout, EngineError> {
-        let masses = self.candidate_masses(candidates)?;
+        let masses = candidates
+            .iter()
+            .map(|&c| {
+                self.community(c)?;
+                Ok(self.mass(c.0))
+            })
+            .collect::<Result<Vec<u64>, EngineError>>()?;
         Ok(plan_shards(
             &masses,
             self.effective_shards(candidates.len()),
         ))
     }
 
-    /// Part-sum masses of `candidates` (validating every handle).
-    fn candidate_masses(&self, candidates: &[CommunityHandle]) -> Result<Vec<u64>, EngineError> {
-        candidates
+    /// Cut the sweep's `pairs` into one contiguous range per shard, of
+    /// about equal summed mass (a pair weighs both its communities).
+    fn pair_ranges(&self, pairs: &[(u32, u32)]) -> Vec<Range<usize>> {
+        let weights: Vec<u64> = pairs
             .iter()
-            .map(|&c| Ok(community_mass(self.community(c)?)))
-            .collect()
+            .map(|&(i, j)| self.mass(i) + self.mass(j))
+            .collect();
+        contiguous_ranges(&weights, self.effective_shards(pairs.len()))
     }
 
-    /// Sharded [`top_k_similar`](CsjEngine::top_k_similar), unbudgeted.
-    pub fn top_k_similar_sharded(
+    /// The one merge of shard reports, shared by every multi-pair
+    /// query. `sizes[s]` is shard `s`'s planned unit count and `units`
+    /// their total. Folds the shard fates into a [`Coverage`] and places
+    /// each reported unit state at its index (`None` for units of lost
+    /// shards). The shard fate identity and "every unit is screened or
+    /// skipped exactly once" are checked in every build; a breach is
+    /// counted in `csj_shard_identity_breaches_total`. Records the
+    /// per-shard fates on the enclosing phase span and the metrics.
+    fn merge_shards<S: ShardUnit>(
         &self,
-        x: CommunityHandle,
-        k: usize,
-    ) -> Result<Partial<Vec<PairScore>>, EngineError> {
-        self.top_k_similar_sharded_with_budget(x, k, &Budget::unlimited())
-    }
-
-    /// Sharded
-    /// [`top_k_similar_with_budget`](CsjEngine::top_k_similar_with_budget):
-    /// same ranking when every shard completes, a [`Coverage`] report
-    /// when one does not.
-    pub fn top_k_similar_sharded_with_budget(
-        &self,
-        x: CommunityHandle,
-        k: usize,
-        budget: &Budget,
-    ) -> Result<Partial<Vec<PairScore>>, EngineError> {
-        let candidates: Vec<CommunityHandle> = self.handles().filter(|&h| h != x).collect();
-        let mut ranked = self.ranked_query_sharded("top_k", x, &candidates, budget)?;
-        ranked.value.truncate(k);
-        Ok(ranked)
-    }
-
-    /// Sharded [`screen_and_refine`](CsjEngine::screen_and_refine),
-    /// unbudgeted.
-    pub fn screen_and_refine_sharded(
-        &self,
-        x: CommunityHandle,
-        candidates: &[CommunityHandle],
-    ) -> Result<Partial<Vec<PairScore>>, EngineError> {
-        self.screen_and_refine_sharded_with_budget(x, candidates, &Budget::unlimited())
-    }
-
-    /// Sharded
-    /// [`screen_and_refine_with_budget`](CsjEngine::screen_and_refine_with_budget).
-    pub fn screen_and_refine_sharded_with_budget(
-        &self,
-        x: CommunityHandle,
-        candidates: &[CommunityHandle],
-        budget: &Budget,
-    ) -> Result<Partial<Vec<PairScore>>, EngineError> {
-        self.ranked_query_sharded("screen_and_refine", x, candidates, budget)
-    }
-
-    /// The sharded screen → refine pipeline. Fault-free runs produce
-    /// bit-identical results to [`ranked_query`](CsjEngine::ranked_query)
-    /// (the parity suite pins this); budget exhaustion inside a shard
-    /// degrades exactly like the flat path, and lost shards degrade
-    /// through the coverage channel instead.
-    fn ranked_query_sharded(
-        &self,
-        kind: &'static str,
-        x: CommunityHandle,
-        candidates: &[CommunityHandle],
-        budget: &Budget,
-    ) -> Result<Partial<Vec<PairScore>>, EngineError> {
-        let joins = AtomicU64::new(0);
-        let rec = self.obs.start_recorder(kind);
-        self.obs.on_query(kind);
-        if let Err(e) = self.community(x) {
-            return Err(self.trace_failure(rec, e));
-        }
-        let masses = match self.candidate_masses(candidates) {
-            Ok(masses) => masses,
-            Err(e) => return Err(self.trace_failure(rec, e)),
+        reports: Vec<ShardReport<Vec<(usize, S)>>>,
+        sizes: &[usize],
+        units: usize,
+        rec: &QueryRecorder,
+    ) -> (Vec<Option<S>>, Coverage) {
+        let mut coverage = Coverage {
+            dispatched: sizes.len() as u64,
+            ..Coverage::default()
         };
-        let layout = plan_shards(&masses, self.effective_shards(candidates.len()));
-        let px = self.prepared(x.0);
-        let prepared: Vec<Arc<PreparedCommunity>> =
-            candidates.iter().map(|&c| self.prepared(c.0)).collect();
-        let shard_start = rec.now_us();
-        let reports =
-            self.shard_executor()
-                .run(layout.shards.len(), &budget.cancel_token(), |ctx| {
-                    self.ranked_shard_task(
-                        x,
-                        &px,
-                        candidates,
-                        &prepared,
-                        &layout.shards[ctx.shard],
-                        ctx,
-                        budget,
-                        &joins,
-                        Some(&rec),
-                    )
-                });
-        // Fold shard reports: coverage fates, per-shard spans, and the
-        // surviving per-candidate states (a lost shard leaves `None` for
-        // every member).
-        let mut coverage = Coverage::default();
-        let mut states: Vec<Option<ShardScored>> = Vec::with_capacity(candidates.len());
-        states.resize_with(candidates.len(), || None);
+        let mut states: Vec<Option<S>> = Vec::with_capacity(units);
+        states.resize_with(units, || None);
         let mut elapsed_us = Vec::with_capacity(reports.len());
         for report in reports {
-            coverage.dispatched += 1;
+            let size = sizes.get(report.shard).copied().unwrap_or(0);
             match (&report.value, report.outcome) {
                 (Some(_), outcome) => {
                     coverage.completed += 1;
@@ -1623,475 +1616,37 @@ impl CsjEngine {
             }
             let us = u64::try_from(report.elapsed.as_micros()).unwrap_or(u64::MAX);
             elapsed_us.push(us);
-            rec.record_shard(
+            rec.note_shard(
                 report.shard,
                 report.outcome.label(),
-                layout.shards[report.shard].len(),
+                size,
                 report.attempts,
                 us,
-                shard_start,
             );
-            if let Some(values) = report.value {
-                for (idx, state) in values {
-                    states[idx] = Some(state);
-                }
-            }
-        }
-        rec.end_phase("shards", shard_start);
-        let mut refined: Vec<(usize, Similarity, Similarity)> = Vec::new();
-        let mut done = 0u64;
-        let mut budget_skips = 0u64;
-        let mut hard_error: Option<EngineError> = None;
-        for (idx, state) in states.iter().enumerate() {
-            match state {
-                None => coverage.units_skipped += 1,
-                Some(ShardScored::Skipped) => {
-                    coverage.units_skipped += 1;
-                    budget_skips += 1;
-                }
-                Some(ShardScored::Inadmissible) | Some(ShardScored::Rejected) => {
-                    coverage.units_screened += 1;
-                    done += 1;
-                }
-                Some(ShardScored::ScreenFailed(e)) => {
-                    coverage.units_screened += 1;
-                    done += 1;
-                    // Same rule as the flat path: faults and panics
-                    // degrade per candidate, anything else is a real
-                    // error and is surfaced (first in candidate order).
-                    if !matches!(
-                        e,
-                        EngineError::Faulted { .. } | EngineError::JoinPanicked { .. }
-                    ) && hard_error.is_none()
-                    {
-                        hard_error = Some(e.clone());
-                    }
-                }
-                Some(ShardScored::Refined(screen, exact)) => {
-                    coverage.units_screened += 1;
-                    done += 2;
-                    refined.push((idx, *screen, *exact));
-                }
-                Some(ShardScored::RefineDropped) => {
-                    coverage.units_screened += 1;
-                    done += 2;
-                }
-                Some(ShardScored::RefineSkipped) => {
-                    coverage.units_screened += 1;
-                    done += 1;
-                    budget_skips += 1;
-                }
-            }
-        }
-        if let Some(e) = hard_error {
-            return Err(self.trace_failure(rec, e));
-        }
-        debug_assert!(
-            coverage.identity_holds(),
-            "shard fate identity: {coverage:?}"
-        );
-        debug_assert_eq!(
-            coverage.units_screened + coverage.units_skipped,
-            candidates.len() as u64,
-            "every candidate is either screened or skipped"
-        );
-        // Deterministic merge, bit-identical to the flat pipeline:
-        // `refined` is in candidate order, so the stable sort by screen
-        // score reproduces the global shortlist order and the stable
-        // sort by exact score reproduces the final ranking (ties keep
-        // shortlist order, exactly as the flat path's sort does).
-        refined.sort_by(|p, q| q.1.ratio().total_cmp(&p.1.ratio()));
-        refined.sort_by(|p, q| q.2.ratio().total_cmp(&p.2.ratio()));
-        let value: Vec<PairScore> = refined
-            .into_iter()
-            .map(|(idx, _, exact)| PairScore {
-                x,
-                y: candidates[idx],
-                similarity: exact,
-            })
-            .collect();
-        // Skips caused by slice timeouts or lost shards are coverage
-        // loss, not budget exhaustion: the marker only fires when the
-        // budget itself stopped admitting work.
-        let marker_skips = if budget.exceeded(joins.load(Ordering::Relaxed)).is_some() {
-            budget_skips
-        } else {
-            0
-        };
-        let exhausted = exhausted_marker(budget, &joins, done, marker_skips);
-        self.obs.on_shards(&coverage, &elapsed_us);
-        rec.note_coverage(coverage);
-        self.finish_trace(rec, exhausted);
-        Ok(Partial {
-            value,
-            exhausted,
-            coverage: Some(coverage),
-        })
-    }
-
-    /// One shard's screen → refine pass over its member candidates.
-    /// Runs on a pool worker inside the shard's panic boundary; `ctx`
-    /// carries the attempt's cancel token, which the supervisor trips
-    /// on slice timeout, hedge races and global cancellation.
-    #[allow(clippy::too_many_arguments)]
-    fn ranked_shard_task(
-        &self,
-        x: CommunityHandle,
-        px: &Arc<PreparedCommunity>,
-        candidates: &[CommunityHandle],
-        prepared: &[Arc<PreparedCommunity>],
-        members: &[usize],
-        ctx: &ShardCtx,
-        budget: &Budget,
-        joins: &AtomicU64,
-        rec: Option<&QueryRecorder>,
-    ) -> Vec<(usize, ShardScored)> {
-        let qopts = self.config.options.clone().with_cancel(ctx.cancel.clone());
-        let mut out = Vec::with_capacity(members.len());
-        let mut shortlist: Vec<(usize, Similarity)> = Vec::new();
-        // Phase 1: screen the members (ascending candidate order).
-        for &idx in members {
-            let cand = candidates[idx];
-            if budget.exceeded(joins.load(Ordering::Relaxed)).is_some() {
-                budget.cancel();
-                out.push((idx, ShardScored::Skipped));
-                continue;
-            }
-            if ctx.cancel.is_cancelled() {
-                out.push((idx, ShardScored::Skipped));
-                continue;
-            }
-            let py = &prepared[idx];
-            let screened = catch_unwind(AssertUnwindSafe(|| {
-                self.fault_hook(cand.0)?;
-                let (b, a) = if px.len() <= py.len() {
-                    (px, py)
-                } else {
-                    (py, px)
-                };
-                self.join_prepared(
-                    self.config.screen_method,
-                    Exactness::Approximate,
-                    b,
-                    a,
-                    &qopts,
-                    rec,
-                )
-            }));
-            match screened {
-                Err(payload) => {
-                    self.obs.on_join_panicked();
-                    out.push((
-                        idx,
-                        ShardScored::ScreenFailed(EngineError::JoinPanicked {
-                            handle: cand.0,
-                            message: panic_message(payload),
-                        }),
-                    ));
-                }
-                Ok(Ok(similarity)) => {
-                    joins.fetch_add(1, Ordering::Relaxed);
-                    if similarity.ratio() >= self.config.screen_threshold {
-                        shortlist.push((idx, similarity));
-                    } else {
-                        out.push((idx, ShardScored::Rejected));
-                    }
-                }
-                Ok(Err(EngineError::Csj(CsjError::SizeConstraint { .. }))) => {
-                    out.push((idx, ShardScored::Inadmissible));
-                }
-                Ok(Err(EngineError::Cancelled)) => {
-                    joins.fetch_add(1, Ordering::Relaxed);
-                    out.push((idx, ShardScored::Skipped));
-                }
-                Ok(Err(other)) => out.push((idx, ShardScored::ScreenFailed(other))),
-            }
-        }
-        // Phase 2: refine the shard-local shortlist, best screen score
-        // first (stable, so ties keep candidate order — the global
-        // merge depends on this to reproduce the flat ordering).
-        shortlist.sort_by(|p, q| q.1.ratio().total_cmp(&p.1.ratio()));
-        let mut stop = false;
-        for (idx, screen_sim) in shortlist {
-            if !stop && budget.exceeded(joins.load(Ordering::Relaxed)).is_some() {
-                budget.cancel();
-                stop = true;
-            }
-            if !stop && ctx.cancel.is_cancelled() {
-                stop = true;
-            }
-            if stop {
-                out.push((idx, ShardScored::RefineSkipped));
-                continue;
-            }
-            match self.refine_pair(x, candidates[idx], &qopts, joins, rec) {
-                Ok(exact) => out.push((idx, ShardScored::Refined(screen_sim, exact))),
-                Err(EngineError::Cancelled) => {
-                    stop = true;
-                    out.push((idx, ShardScored::RefineSkipped));
-                }
-                Err(EngineError::JoinPanicked { .. }) | Err(EngineError::Faulted { .. }) => {
-                    out.push((idx, ShardScored::RefineDropped));
-                }
-                Err(other) => out.push((idx, ShardScored::ScreenFailed(other))),
-            }
-        }
-        out
-    }
-
-    /// Sharded [`pairs_above`](CsjEngine::pairs_above), unbudgeted.
-    pub fn pairs_above_sharded(&self, threshold: f64) -> Result<Partial<PairsSweep>, EngineError> {
-        self.pairs_above_sharded_with_budget(threshold, &Budget::unlimited())
-    }
-
-    /// Sharded broadcast sweep: the all-pairs workload is grouped into
-    /// mass-balanced community groups and each group-pair becomes one
-    /// shard task. Unlike
-    /// [`pairs_above_with_budget`](CsjEngine::pairs_above_with_budget)
-    /// there is no resume cursor ([`PairsSweep::cursor`] stays `None`):
-    /// lost work is reported through the [`Coverage`] channel instead
-    /// of a resumable position, because shards complete out of
-    /// canonical order.
-    pub fn pairs_above_sharded_with_budget(
-        &self,
-        threshold: f64,
-        budget: &Budget,
-    ) -> Result<Partial<PairsSweep>, EngineError> {
-        let joins = AtomicU64::new(0);
-        let rec = self.obs.start_recorder("pairs_above");
-        self.obs.on_query("pairs_above");
-        let n = self.entries.len();
-        let masses: Vec<u64> = self
-            .entries
-            .iter()
-            .map(|e| community_mass(&e.community))
-            .collect();
-        let tasks =
-            Self::plan_pair_tasks(&masses, self.effective_shards(n * n.saturating_sub(1) / 2));
-        if tasks.is_empty() {
-            let coverage = Coverage::default();
-            rec.note_coverage(coverage);
-            self.finish_trace(rec, None);
-            return Ok(Partial {
-                value: PairsSweep::default(),
-                exhausted: None,
-                coverage: Some(coverage),
-            });
-        }
-        let total_pairs: u64 = tasks.iter().map(|t| t.len() as u64).sum();
-        let shard_start = rec.now_us();
-        let reports = self
-            .shard_executor()
-            .run(tasks.len(), &budget.cancel_token(), |ctx| {
-                self.sweep_shard_task(
-                    &tasks[ctx.shard],
-                    threshold,
-                    ctx,
-                    budget,
-                    &joins,
-                    Some(&rec),
-                )
-            });
-        let mut coverage = Coverage::default();
-        let mut elapsed_us = Vec::with_capacity(reports.len());
-        let mut swept: Vec<((u32, u32), SweptPair)> = Vec::new();
-        for report in reports {
-            coverage.dispatched += 1;
-            match (&report.value, report.outcome) {
-                (Some(_), outcome) => {
-                    coverage.completed += 1;
-                    if outcome == ShardOutcome::Hedged {
-                        coverage.hedged += 1;
-                    }
-                }
-                (None, ShardOutcome::Cancelled) => coverage.cancelled += 1,
-                (None, _) => coverage.failed += 1,
-            }
-            let us = u64::try_from(report.elapsed.as_micros()).unwrap_or(u64::MAX);
-            elapsed_us.push(us);
-            rec.record_shard(
-                report.shard,
-                report.outcome.label(),
-                tasks[report.shard].len(),
-                report.attempts,
-                us,
-                shard_start,
-            );
-            if let Some(values) = report.value {
-                swept.extend(values);
-            } else {
-                coverage.units_skipped += tasks[report.shard].len() as u64;
-            }
-        }
-        rec.end_phase("shards", shard_start);
-        // Merge in canonical (lexicographic) pair order first, so the
-        // final ranking is independent of shard layout and completion
-        // order. Pair keys are unique, so the unstable sort is total.
-        swept.sort_unstable_by_key(|(pair, _)| *pair);
-        let mut sweep = PairsSweep::default();
-        let mut done = 0u64;
-        let mut budget_skips = 0u64;
-        let mut hard_error: Option<EngineError> = None;
-        for (pair, state) in swept {
-            match state {
-                SweptPair::Hit(score) => {
-                    coverage.units_screened += 1;
-                    done += 1;
-                    sweep.pairs.push(score);
-                }
-                SweptPair::Miss => {
-                    coverage.units_screened += 1;
-                    done += 1;
-                }
-                SweptPair::Skipped => {
-                    coverage.units_skipped += 1;
-                    budget_skips += 1;
-                }
-                SweptPair::Failed(e) => {
-                    coverage.units_screened += 1;
-                    done += 1;
-                    if !matches!(
-                        e,
-                        EngineError::Faulted { .. } | EngineError::JoinPanicked { .. }
-                    ) && hard_error.is_none()
-                    {
-                        hard_error = Some(e.clone());
-                    }
-                    sweep
-                        .failed
-                        .push((CommunityHandle(pair.0), CommunityHandle(pair.1), e));
-                }
-            }
-        }
-        if let Some(e) = hard_error {
-            return Err(self.trace_failure(rec, e));
-        }
-        debug_assert!(
-            coverage.identity_holds(),
-            "shard fate identity: {coverage:?}"
-        );
-        debug_assert_eq!(
-            coverage.units_screened + coverage.units_skipped,
-            total_pairs,
-            "every pair is either screened or skipped"
-        );
-        sweep
-            .pairs
-            .sort_by(|p, q| q.similarity.ratio().total_cmp(&p.similarity.ratio()));
-        let marker_skips = if budget.exceeded(joins.load(Ordering::Relaxed)).is_some() {
-            budget_skips
-        } else {
-            0
-        };
-        let exhausted = exhausted_marker(budget, &joins, done, marker_skips);
-        self.obs.on_shards(&coverage, &elapsed_us);
-        rec.note_coverage(coverage);
-        self.finish_trace(rec, exhausted);
-        Ok(Partial {
-            value: sweep,
-            exhausted,
-            coverage: Some(coverage),
-        })
-    }
-
-    /// Partition the all-pairs workload for sharding: communities are
-    /// grouped into `g` mass-balanced groups (the largest `g` with
-    /// `g*(g+1)/2 <= target` tasks) and every group pair — diagonal
-    /// included — becomes one task holding its canonical `(i < j)`
-    /// pairs in lexicographic order. Each unordered pair lands in
-    /// exactly one task.
-    fn plan_pair_tasks(masses: &[u64], target: usize) -> Vec<Vec<(u32, u32)>> {
-        let n = masses.len();
-        if n < 2 {
-            return Vec::new();
-        }
-        let mut g = 1usize;
-        while (g + 1) * (g + 2) / 2 <= target && g < n {
-            g += 1;
-        }
-        let groups = plan_shards(masses, g).shards;
-        let mut tasks = Vec::new();
-        for gi in 0..groups.len() {
-            for gj in gi..groups.len() {
-                let mut pairs: Vec<(u32, u32)> = Vec::new();
-                if gi == gj {
-                    let members = &groups[gi];
-                    for (p, &u) in members.iter().enumerate() {
-                        for &v in &members[p + 1..] {
-                            pairs.push((u as u32, v as u32));
+            match report.value {
+                Some(values) => {
+                    for (idx, state) in values {
+                        if state.processed() {
+                            coverage.units_screened += 1;
+                        } else {
+                            coverage.units_skipped += 1;
                         }
-                    }
-                } else {
-                    for &u in &groups[gi] {
-                        for &v in &groups[gj] {
-                            let (lo, hi) = if u < v { (u, v) } else { (v, u) };
-                            pairs.push((lo as u32, hi as u32));
+                        if let Some(slot) = states.get_mut(idx) {
+                            *slot = Some(state);
                         }
                     }
                 }
-                pairs.sort_unstable();
-                if !pairs.is_empty() {
-                    tasks.push(pairs);
-                }
+                None => coverage.units_skipped += size as u64,
             }
         }
-        tasks
-    }
-
-    /// One shard task of the sharded broadcast sweep: its canonical
-    /// pairs in lexicographic order, each through the same
-    /// screen-then-refine logic as the flat sweep, inside the shard's
-    /// panic boundary.
-    fn sweep_shard_task(
-        &self,
-        pairs: &[(u32, u32)],
-        threshold: f64,
-        ctx: &ShardCtx,
-        budget: &Budget,
-        joins: &AtomicU64,
-        rec: Option<&QueryRecorder>,
-    ) -> Vec<((u32, u32), SweptPair)> {
-        let qopts = self.config.options.clone().with_cancel(ctx.cancel.clone());
-        let mut out = Vec::with_capacity(pairs.len());
-        let mut stop = false;
-        for &(i, j) in pairs {
-            if !stop && budget.exceeded(joins.load(Ordering::Relaxed)).is_some() {
-                budget.cancel();
-                stop = true;
-            }
-            if !stop && ctx.cancel.is_cancelled() {
-                stop = true;
-            }
-            if stop {
-                out.push(((i, j), SweptPair::Skipped));
-                continue;
-            }
-            let x = CommunityHandle(i);
-            let y = CommunityHandle(j);
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                self.sweep_pair(x, y, threshold, &qopts, joins, rec, false)
-            }));
-            match outcome {
-                Err(payload) => {
-                    self.obs.on_join_panicked();
-                    out.push((
-                        (i, j),
-                        SweptPair::Failed(EngineError::JoinPanicked {
-                            handle: j,
-                            message: panic_message(payload),
-                        }),
-                    ));
-                }
-                Ok(Ok(Some(score))) => out.push(((i, j), SweptPair::Hit(score))),
-                Ok(Ok(None)) => out.push(((i, j), SweptPair::Miss)),
-                Ok(Err(EngineError::Cancelled)) => {
-                    stop = true;
-                    out.push(((i, j), SweptPair::Skipped));
-                }
-                Ok(Err(e)) => out.push(((i, j), SweptPair::Failed(e))),
-            }
+        if !coverage.identity_holds()
+            || coverage.units_screened + coverage.units_skipped != units as u64
+        {
+            self.obs.on_shard_identity_breach();
         }
-        out
+        self.obs.on_shards(&coverage, &elapsed_us);
+        rec.note_coverage(coverage);
+        (states, coverage)
     }
 }
 
@@ -2109,7 +1664,7 @@ impl CsjEngine {
         self.faults = None;
     }
 
-    /// Install a shard-boundary chaos plan; subsequent *sharded*
+    /// Install a shard-boundary chaos plan; subsequent multi-pair
     /// queries dispatch attempts through it (kills, stalls, injected
     /// panics). Compiled only under the `fault-injection` feature.
     pub fn inject_shard_faults(&mut self, plan: csj_shard::ShardFaultPlan) {
@@ -2445,32 +2000,68 @@ mod tests {
     }
 
     #[test]
-    fn remaining_pairs_counts_the_tail() {
-        // n = 4 handles, 6 pairs total.
-        let all = CsjEngine::remaining_pairs(4, PairsCursor { i: 0, j: 1 });
-        assert_eq!(all, 6);
-        assert_eq!(CsjEngine::remaining_pairs(4, PairsCursor { i: 0, j: 3 }), 4);
-        assert_eq!(CsjEngine::remaining_pairs(4, PairsCursor { i: 2, j: 3 }), 1);
+    fn merge_counts_identity_breaches() {
+        let (engine, _, _, _) = engine_with_three();
+        let rec = engine.obs.start_recorder("screen");
+        let report = |shard: usize, value: Option<Vec<(usize, Screened)>>| ShardReport {
+            shard,
+            outcome: if value.is_some() {
+                ShardOutcome::Completed
+            } else {
+                ShardOutcome::Panicked
+            },
+            value,
+            panic_message: None,
+            attempts: 1,
+            elapsed: Duration::ZERO,
+        };
+        let breaches = |e: &CsjEngine| {
+            e.metrics_snapshot()
+                .counter_value("csj_shard_identity_breaches_total", &[])
+        };
+        // Consistent: one shard completed, one lost, every unit counted.
+        let consistent = vec![
+            report(0, Some(vec![(0, Screened::Inadmissible)])),
+            report(1, None),
+        ];
+        let (states, cov) = engine.merge_shards(consistent, &[1, 1], 2, &rec);
+        assert!(cov.identity_holds(), "{cov}");
+        assert_eq!((cov.units_screened, cov.units_skipped), (1, 1));
+        assert!(states[0].is_some() && states[1].is_none());
+        assert_eq!(breaches(&engine), 0);
+        // A planned shard without a report breaks the fate identity.
+        let missing = vec![report(0, Some(vec![(0, Screened::Inadmissible)]))];
+        engine.merge_shards(missing, &[1, 1], 2, &rec);
+        assert_eq!(breaches(&engine), 1);
+        // A completed shard that drops one of its units loses track of it.
+        let dropped = vec![report(0, Some(vec![(0, Screened::Skipped)]))];
+        engine.merge_shards(dropped, &[2], 2, &rec);
+        assert_eq!(breaches(&engine), 2);
     }
 
     #[test]
-    fn parallel_map_isolates_panics() {
-        let (engine, _, _, _) = engine_with_three();
-        let items: Vec<u32> = (0..8).collect();
-        let results = engine.parallel_map(&items, |&i| {
-            if i == 3 {
-                panic!("poisoned item {i}");
-            }
-            i * 2
-        });
-        for (i, slot) in results.iter().enumerate() {
-            if i == 3 {
-                let message = slot.as_ref().unwrap_err();
-                assert!(message.contains("poisoned item 3"), "got: {message}");
-            } else {
-                assert_eq!(*slot.as_ref().unwrap(), i as u32 * 2);
-            }
-        }
+    fn contiguous_ranges_balance_mass_and_cover_every_item() {
+        assert_eq!(contiguous_ranges(&[1; 6], 2), vec![0..3, 3..6]);
+        assert_eq!(contiguous_ranges(&[10, 1, 1, 1, 1], 2), vec![0..1, 1..5]);
+        // A heavy tail still leaves every range non-empty.
+        assert_eq!(
+            contiguous_ranges(&[1, 1, 1, 100], 3),
+            vec![0..2, 2..3, 3..4]
+        );
+        assert_eq!(contiguous_ranges(&[5, 5], 8), vec![0..1, 1..2]);
+        assert!(contiguous_ranges(&[], 4).is_empty());
+    }
+
+    #[test]
+    fn layout_mass_is_cached_per_version() {
+        let (mut engine, _, n, _) = engine_with_three();
+        let mass = |e: &CsjEngine| community_mass(e.community(n).unwrap());
+        let before = engine.shard_layout(&[n]).unwrap().masses;
+        assert_eq!(before, vec![mass(&engine)]);
+        engine.upsert_user(n, 99, &[500, 500]).unwrap();
+        let after = engine.shard_layout(&[n]).unwrap().masses;
+        assert_eq!(after, vec![mass(&engine)]);
+        assert_ne!(before, after, "a mutation invalidates the cached mass");
     }
 
     #[test]

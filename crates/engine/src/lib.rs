@@ -32,12 +32,14 @@
 //! `fault-injection` cargo feature compiles in a chaos-testing harness
 //! ([`fault`]) that injects panics, errors, and slowdowns into joins.
 //!
-//! For fault *isolation* beyond the per-join boundary, the `*_sharded_*`
-//! query variants partition the work into mass-balanced shards executed
-//! under per-shard deadline slices with straggler hedging; a crashed or
-//! stalled shard shrinks the result's [`Coverage`] report instead of
-//! failing the query. Fault-free sharded runs are bit-identical to the
-//! flat pipeline.
+//! For fault *isolation* beyond the per-join boundary, every multi-pair
+//! query runs on one executor that partitions the work into shards —
+//! mass-balanced candidate groups for ranked queries, contiguous ranges
+//! of the canonical pair order for sweeps — executed under per-shard
+//! deadline slices with straggler hedging; a crashed or stalled shard
+//! shrinks the result's [`Coverage`] report instead of failing the
+//! query. The unsharded run is the one-shard layout of the same code,
+//! and fault-free results are bit-identical at every shard count.
 
 mod budget;
 mod engine;

@@ -122,6 +122,7 @@ pub(crate) struct EngineObs {
     shard_hedged: Arc<Counter>,
     shard_units: [Arc<Counter>; 2],
     shard_latency: Arc<LatencyHistogram>,
+    shard_identity_breaches: Arc<Counter>,
     stream_depth: Arc<LogHistogramCell>,
     prune_depth: Arc<LogHistogramCell>,
     communities: Arc<Gauge>,
@@ -332,13 +333,18 @@ impl EngineObs {
             shard_units: ["screened", "skipped"].map(|fate| {
                 registry.counter(
                     "csj_shard_units_total",
-                    "Work units (candidates or pairs) of sharded queries, by fate.",
+                    "Work units (candidates or pairs) of multi-pair queries, by fate.",
                     vec![("fate", fate.to_string())],
                 )
             }),
             shard_latency: registry.latency(
                 "csj_shard_latency_seconds",
                 "Per-shard wall-clock latency (winning attempt, or longest failed one).",
+                vec![],
+            ),
+            shard_identity_breaches: registry.counter(
+                "csj_shard_identity_breaches_total",
+                "Shard merges whose coverage broke the fate identity or lost track of a unit.",
                 vec![],
             ),
             stream_depth: registry.log_histogram(
@@ -473,7 +479,14 @@ impl EngineObs {
         }
     }
 
-    /// Fold one sharded query's coverage into the `csj_shard_*` family;
+    /// Count a shard merge whose [`Coverage`] failed its identities.
+    pub(crate) fn on_shard_identity_breach(&self) {
+        if self.enabled {
+            self.shard_identity_breaches.inc();
+        }
+    }
+
+    /// Fold one multi-pair query's coverage into the `csj_shard_*` family;
     /// `shard_elapsed_us` carries the per-shard latencies. The counter
     /// deltas preserve the coverage identity by construction, so
     /// `csj_shard_dispatched_total` always equals the sum of the three
@@ -560,6 +573,9 @@ pub(crate) struct QueryRecorder {
     telemetry: Mutex<JoinTelemetry>,
     budget: Mutex<Option<(&'static str, u64, u64)>>,
     coverage: Mutex<Option<Coverage>>,
+    /// Per-shard fates noted since the last phase boundary, as
+    /// `shard:fate:units:attempts:elapsed` entries.
+    shard_fates: Mutex<Vec<String>>,
 }
 
 impl QueryRecorder {
@@ -586,6 +602,7 @@ impl QueryRecorder {
             telemetry: Mutex::new(JoinTelemetry::default()),
             budget: Mutex::new(None),
             coverage: Mutex::new(None),
+            shard_fates: Mutex::new(Vec::new()),
         }
     }
 
@@ -693,16 +710,24 @@ impl QueryRecorder {
 
     /// Close the phase that started at `start_us`: every join recorded
     /// since the previous phase boundary becomes a child of one
-    /// `name` span.
+    /// `name` span, and the shard fates noted since then become its
+    /// `shards` / `shard_fates` attributes.
     pub(crate) fn end_phase(&self, name: &'static str, start_us: u64) {
         if !self.on {
             return;
         }
         let children =
             std::mem::take(&mut *self.join_spans.lock().unwrap_or_else(|e| e.into_inner()));
+        let fates =
+            std::mem::take(&mut *self.shard_fates.lock().unwrap_or_else(|e| e.into_inner()));
         let mut span = Span::new(name)
             .at(start_us, self.now_us().saturating_sub(start_us))
             .attr("joins", children.len());
+        if !fates.is_empty() {
+            span = span
+                .attr("shards", fates.len())
+                .attr("shard_fates", fates.join(" "));
+        }
         span.children = children;
         self.phases
             .lock()
@@ -720,36 +745,29 @@ impl QueryRecorder {
             Some((reason, pairs_done, pairs_skipped));
     }
 
-    /// Record one resolved shard as a span (folded into the enclosing
-    /// `shards` phase by [`QueryRecorder::end_phase`]).
-    pub(crate) fn record_shard(
+    /// Note one resolved shard for the enclosing phase span: its fate,
+    /// planned units, attempts and elapsed time. Shards are phase
+    /// attributes, never spans, so a phase's children stay its joins.
+    pub(crate) fn note_shard(
         &self,
         shard: usize,
         outcome: &'static str,
-        members: usize,
+        units: usize,
         attempts: u32,
         elapsed_us: u64,
-        start_us: u64,
     ) {
         if !self.on {
             return;
         }
-        let mut joins = self.join_spans.lock().unwrap_or_else(|e| e.into_inner());
-        if joins.len() >= MAX_JOIN_SPANS {
-            self.joins_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        joins.push(
-            Span::new("shard")
-                .at(start_us, elapsed_us)
-                .attr("shard", shard)
-                .attr("outcome", outcome)
-                .attr("members", members)
-                .attr("attempts", u64::from(attempts)),
-        );
+        self.shard_fates
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .push(format!(
+                "{shard}:{outcome}:{units}u:{attempts}a:{elapsed_us}us"
+            ));
     }
 
-    /// Note a sharded query's coverage, surfaced as root-span
+    /// Note a multi-pair query's coverage, surfaced as root-span
     /// attributes (`shards_dispatched`, `shards_completed`, ...).
     pub(crate) fn note_coverage(&self, coverage: Coverage) {
         if !self.on {

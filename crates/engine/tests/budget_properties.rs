@@ -1,6 +1,7 @@
 //! Property-based tests for budgeted execution: a truncated
 //! `pairs_above` sweep returns a subset of the unbounded result, and
-//! resuming from its cursor yields exactly the missing pairs.
+//! resuming from its cursor yields exactly the missing pairs — at every
+//! shard count, where the budget stops parallel ranges independently.
 
 use std::time::Duration;
 
@@ -18,8 +19,10 @@ fn catalogs() -> impl Strategy<Value = (usize, Vec<Vec<Vec<u32>>>)> {
     })
 }
 
-fn build_engine(d: usize, communities: &[Vec<Vec<u32>>]) -> CsjEngine {
-    let mut engine = CsjEngine::new(d, EngineConfig::new(1));
+fn build_engine(d: usize, communities: &[Vec<Vec<u32>>], shards: usize) -> CsjEngine {
+    let mut config = EngineConfig::new(1);
+    config.shard.shards = shards;
+    let mut engine = CsjEngine::new(d, config);
     for (i, rows) in communities.iter().enumerate() {
         let name = format!("c{i}");
         let community = Community::from_rows(
@@ -49,13 +52,14 @@ proptest! {
         (d, communities) in catalogs(),
         threshold_tenths in 0u32..=10,
         cap in 0u64..12,
+        shards in 1usize..=4,
     ) {
         let threshold = f64::from(threshold_tenths) / 10.0;
-        let full = build_engine(d, &communities)
+        let full = build_engine(d, &communities, 1)
             .pairs_above(threshold)
             .expect("unbounded sweep succeeds");
 
-        let engine = build_engine(d, &communities);
+        let engine = build_engine(d, &communities, shards);
         let budget = Budget::unlimited().with_max_joins(cap);
         let first = engine
             .pairs_above_with_budget(threshold, &budget, None)
@@ -100,13 +104,14 @@ proptest! {
     fn expired_deadline_resumes_to_the_full_result(
         (d, communities) in catalogs(),
         threshold_tenths in 0u32..=10,
+        shards in 1usize..=4,
     ) {
         let threshold = f64::from(threshold_tenths) / 10.0;
-        let full = build_engine(d, &communities)
+        let full = build_engine(d, &communities, 1)
             .pairs_above(threshold)
             .expect("unbounded sweep succeeds");
 
-        let engine = build_engine(d, &communities);
+        let engine = build_engine(d, &communities, shards);
         let spent = Budget::unlimited().with_deadline(Duration::ZERO);
         let first = engine
             .pairs_above_with_budget(threshold, &spent, None)

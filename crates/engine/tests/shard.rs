@@ -1,10 +1,11 @@
-//! Sharded-execution contract tests.
+//! Shard-executor contract tests.
 //!
-//! The tentpole claim of the sharded layer is *bit-identical merges*:
-//! a fault-free sharded query returns exactly the flat path's result —
-//! same pairs, same scores, same order — for every shard count, thread
-//! count and (implicitly) steal order. Faults may only shrink
-//! *coverage*, never corrupt what survives. These tests pin both claims.
+//! Every multi-pair query runs on the shard executor, and the claim of
+//! that layer is *bit-identical merges*: a fault-free query returns
+//! exactly the one-shard layout's result — same pairs, same scores,
+//! same order — for every shard count, thread count and (implicitly)
+//! steal order. Faults may only shrink *coverage*, never corrupt what
+//! survives. These tests pin both claims.
 
 use csj_core::Community;
 use csj_engine::{Budget, CsjEngine, EngineConfig};
@@ -29,7 +30,6 @@ fn skewed_engine(seed: u64, threads: usize, shards: usize) -> CsjEngine {
     let mut rng = lcg(seed);
     let mut config = EngineConfig::new(1);
     config.threads = threads;
-    config.shard.enabled = true;
     config.shard.shards = shards;
     let mut engine = CsjEngine::new(D, config);
     for (i, len) in [4usize, 5, 6, 8, 10, 16].into_iter().enumerate() {
@@ -48,15 +48,15 @@ fn anchor(engine: &CsjEngine) -> csj_engine::CommunityHandle {
 
 #[test]
 fn sharded_ranked_queries_match_flat_bit_for_bit() {
-    // The flat reference comes from a single-threaded engine so any
-    // hidden dependence on the sharded engine's pool would show up.
+    // The one-shard reference comes from a single-threaded engine so
+    // any hidden dependence on the executor's pool would show up.
     let reference = skewed_engine(7, 1, 1);
     let x = anchor(&reference);
-    let flat_topk = reference.top_k_similar(x, 4).expect("flat top-k");
+    let flat_topk = reference.top_k_similar(x, 4).expect("one-shard top-k");
     let candidates: Vec<_> = reference.handles().filter(|&h| h != x).collect();
     let flat_ranked = reference
         .screen_and_refine(x, &candidates)
-        .expect("flat screen+refine");
+        .expect("one-shard screen+refine");
 
     for shards in [1usize, 2, 3, 5, 8] {
         for threads in [1usize, 2, 4] {
@@ -64,18 +64,20 @@ fn sharded_ranked_queries_match_flat_bit_for_bit() {
             let x = anchor(&engine);
             let candidates: Vec<_> = engine.handles().filter(|&h| h != x).collect();
 
-            let topk = engine.top_k_similar_sharded(x, 4).expect("sharded top-k");
+            let topk = engine
+                .top_k_similar_with_budget(x, 4, &Budget::unlimited())
+                .expect("sharded top-k");
             assert_eq!(
                 topk.value, flat_topk,
                 "top-k diverged at shards={shards} threads={threads}"
             );
-            let cov = topk.coverage.expect("sharded queries report coverage");
+            let cov = topk.coverage;
             assert!(cov.identity_holds(), "{cov}");
             assert!(!cov.is_partial(), "fault-free must be complete: {cov}");
             assert_eq!(cov.unit_fraction(), 1.0);
 
             let ranked = engine
-                .screen_and_refine_sharded(x, &candidates)
+                .screen_and_refine_with_budget(x, &candidates, &Budget::unlimited())
                 .expect("sharded screen+refine");
             assert_eq!(
                 ranked.value, flat_ranked,
@@ -89,25 +91,45 @@ fn sharded_ranked_queries_match_flat_bit_for_bit() {
 #[test]
 fn sharded_pairs_above_matches_flat() {
     let reference = skewed_engine(11, 1, 1);
-    let flat = reference.pairs_above(0.0).expect("flat sweep");
+    let flat = reference.pairs_above(0.0).expect("one-shard sweep");
     assert!(!flat.is_empty(), "catalog must produce matching pairs");
 
     for shards in [1usize, 2, 3, 5, 8] {
         for threads in [1usize, 2, 4] {
             let engine = skewed_engine(11, threads, shards);
-            let swept = engine.pairs_above_sharded(0.0).expect("sharded sweep");
+            let swept = engine
+                .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+                .expect("sharded sweep");
             assert_eq!(
                 swept.value.pairs, flat,
                 "sweep diverged at shards={shards} threads={threads}"
             );
             assert!(
                 swept.value.cursor.is_none(),
-                "sharded sweeps report loss via coverage, not cursors"
+                "a fault-free sweep processes every pair, so it has no cursor"
             );
-            let cov = swept.coverage.expect("coverage attached");
+            let cov = swept.coverage;
             assert!(cov.identity_holds() && !cov.is_partial(), "{cov}");
         }
     }
+}
+
+#[test]
+fn two_thread_sweep_runs_on_two_shards() {
+    // Auto shard count: one contiguous range of the canonical pair
+    // order per engine thread.
+    let reference = skewed_engine(11, 1, 1);
+    let one = reference
+        .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+        .expect("one-shard sweep");
+    let engine = skewed_engine(11, 2, 0);
+    let two = engine
+        .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+        .expect("two-shard sweep");
+    assert_eq!(one.coverage.dispatched, 1, "{}", one.coverage);
+    assert_eq!(two.coverage.dispatched, 2, "{}", two.coverage);
+    assert!(!two.coverage.is_partial(), "{}", two.coverage);
+    assert_eq!(two.value, one.value);
 }
 
 #[test]
@@ -116,11 +138,11 @@ fn exhausted_budget_is_coverage_accounted() {
     let x = anchor(&engine);
     let starved = Budget::unlimited().with_max_joins(0);
     let partial = engine
-        .top_k_similar_sharded_with_budget(x, 4, &starved)
+        .top_k_similar_with_budget(x, 4, &starved)
         .expect("sharded top-k under a zero budget");
     assert!(partial.value.is_empty(), "no joins were allowed");
     assert!(partial.exhausted.is_some(), "the budget marker survives");
-    let cov = partial.coverage.expect("coverage attached");
+    let cov = partial.coverage;
     assert!(cov.identity_holds(), "{cov}");
     assert!(cov.is_partial(), "skipped units must show: {cov}");
     assert!(cov.units_skipped > 0, "{cov}");
@@ -145,7 +167,6 @@ fn build_engine(
 ) -> CsjEngine {
     let mut config = EngineConfig::new(1);
     config.threads = threads;
-    config.shard.enabled = true;
     config.shard.shards = shards;
     let mut engine = CsjEngine::new(d, config);
     for (i, rows) in communities.iter().enumerate() {
@@ -165,8 +186,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// For arbitrary catalogs, every (shard count, thread count) pairing
-    /// merges back to the flat ranking and the flat sweep bit for bit,
-    /// with complete coverage.
+    /// merges back to the one-shard ranking and sweep bit for bit, with
+    /// complete coverage.
     #[test]
     fn sharded_results_are_shard_count_independent(
         (d, communities) in catalogs(),
@@ -177,19 +198,23 @@ proptest! {
         let threshold = f64::from(threshold_tenths) / 10.0;
         let flat_engine = build_engine(d, &communities, 1, 1);
         let x = flat_engine.find("c0").expect("registered");
-        let flat_topk = flat_engine.top_k_similar(x, 3).expect("flat top-k");
-        let flat_pairs = flat_engine.pairs_above(threshold).expect("flat sweep");
+        let flat_topk = flat_engine.top_k_similar(x, 3).expect("one-shard top-k");
+        let flat_pairs = flat_engine.pairs_above(threshold).expect("one-shard sweep");
 
         let engine = build_engine(d, &communities, shards, threads);
         let x = engine.find("c0").expect("registered");
-        let topk = engine.top_k_similar_sharded(x, 3).expect("sharded top-k");
+        let topk = engine
+            .top_k_similar_with_budget(x, 3, &Budget::unlimited())
+            .expect("sharded top-k");
         prop_assert_eq!(&topk.value, &flat_topk);
-        let cov = topk.coverage.expect("coverage attached");
+        let cov = topk.coverage;
         prop_assert!(cov.identity_holds() && !cov.is_partial());
 
-        let swept = engine.pairs_above_sharded(threshold).expect("sharded sweep");
+        let swept = engine
+            .pairs_above_with_budget(threshold, &Budget::unlimited(), None)
+            .expect("sharded sweep");
         prop_assert_eq!(&swept.value.pairs, &flat_pairs);
-        let cov = swept.coverage.expect("coverage attached");
+        let cov = swept.coverage;
         prop_assert!(cov.identity_holds() && !cov.is_partial());
     }
 }
@@ -200,14 +225,14 @@ mod faults {
     use super::*;
     use csj_engine::{PairScore, ShardFaultPlan};
 
-    /// Survivors of a partial query must agree exactly with the flat
-    /// result restricted to the same communities.
+    /// Survivors of a partial query must agree exactly with the
+    /// one-shard result restricted to the same communities.
     fn assert_survivors_exact(survivors: &[PairScore], flat: &[PairScore]) {
         for s in survivors {
             let reference = flat
                 .iter()
                 .find(|p| p.x == s.x && p.y == s.y)
-                .unwrap_or_else(|| panic!("survivor {s:?} not in the flat result"));
+                .unwrap_or_else(|| panic!("survivor {s:?} not in the one-shard result"));
             assert_eq!(s.similarity, reference.similarity, "corrupted survivor");
         }
     }
@@ -216,13 +241,15 @@ mod faults {
     fn persistent_kill_shrinks_coverage_and_keeps_survivors_exact() {
         let reference = skewed_engine(17, 1, 1);
         let x = anchor(&reference);
-        let flat = reference.top_k_similar(x, 5).expect("flat top-k");
+        let flat = reference.top_k_similar(x, 5).expect("one-shard top-k");
 
         let mut engine = skewed_engine(17, 2, 3);
         engine.inject_shard_faults(ShardFaultPlan::new().kill(0, u32::MAX));
         let x = anchor(&engine);
-        let partial = engine.top_k_similar_sharded(x, 5).expect("typed, not Err");
-        let cov = partial.coverage.expect("coverage attached");
+        let partial = engine
+            .top_k_similar_with_budget(x, 5, &Budget::unlimited())
+            .expect("typed, not Err");
+        let cov = partial.coverage;
         assert!(cov.identity_holds(), "{cov}");
         assert!(cov.is_partial(), "a lost shard must show: {cov}");
         assert_eq!(cov.failed, 1, "exactly the attacked shard fails: {cov}");
@@ -234,13 +261,15 @@ mod faults {
     fn single_kill_is_rescued_by_hedge_with_full_coverage() {
         let reference = skewed_engine(19, 1, 1);
         let x = anchor(&reference);
-        let flat = reference.top_k_similar(x, 5).expect("flat top-k");
+        let flat = reference.top_k_similar(x, 5).expect("one-shard top-k");
 
         let mut engine = skewed_engine(19, 2, 3);
         engine.inject_shard_faults(ShardFaultPlan::new().kill(1, 1));
         let x = anchor(&engine);
-        let partial = engine.top_k_similar_sharded(x, 5).expect("rescued");
-        let cov = partial.coverage.expect("coverage attached");
+        let partial = engine
+            .top_k_similar_with_budget(x, 5, &Budget::unlimited())
+            .expect("rescued");
+        let cov = partial.coverage;
         assert!(cov.identity_holds(), "{cov}");
         assert!(!cov.is_partial(), "the hedge restores completeness: {cov}");
         assert_eq!(cov.hedged, 1, "the rescue is visible: {cov}");
@@ -252,23 +281,26 @@ mod faults {
         let mut engine = skewed_engine(23, 2, 3);
         engine.inject_shard_faults(ShardFaultPlan::new().panic_on(0, u32::MAX));
         let swept = engine
-            .pairs_above_sharded(0.0)
+            .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
             .expect("panic contained at the shard boundary");
-        let cov = swept.coverage.expect("coverage attached");
+        let cov = swept.coverage;
         assert!(cov.identity_holds(), "{cov}");
         assert_eq!(cov.failed, 1, "{cov}");
         // And the engine stays usable afterwards.
         engine.clear_shard_faults();
-        let healthy = engine.pairs_above_sharded(0.0).expect("healthy again");
-        assert!(!healthy.coverage.expect("coverage").is_partial());
+        let healthy = engine
+            .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+            .expect("healthy again");
+        assert!(!healthy.coverage.is_partial());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         /// Property: correctness under a single persistent shard loss —
-        /// the sharded sweep's survivors are always a subset of the flat
-        /// sweep with identical scores, and the fate identity holds.
+        /// the sharded sweep's survivors are always a subset of the
+        /// one-shard sweep with identical scores, and the fate identity
+        /// holds.
         #[test]
         fn lossy_sweep_is_an_exact_subset(
             (d, communities) in catalogs(),
@@ -276,11 +308,13 @@ mod faults {
         ) {
             let flat = build_engine(d, &communities, 1, 1)
                 .pairs_above(0.0)
-                .expect("flat sweep");
+                .expect("one-shard sweep");
             let mut engine = build_engine(d, &communities, shards, 2);
             engine.inject_shard_faults(ShardFaultPlan::new().kill(0, u32::MAX));
-            let swept = engine.pairs_above_sharded(0.0).expect("typed");
-            let cov = swept.coverage.expect("coverage attached");
+            let swept = engine
+                .pairs_above_with_budget(0.0, &Budget::unlimited(), None)
+                .expect("typed");
+            let cov = swept.coverage;
             prop_assert!(cov.identity_holds());
             for s in &swept.value.pairs {
                 let reference = flat

@@ -71,7 +71,7 @@ pub enum DegradeTrigger {
     /// Not enough deadline left for an exact attempt (or the exact
     /// attempt exhausted its budget slice).
     Deadline,
-    /// A sharded query lost one or more shards: the answer is exact on
+    /// A multi-pair query lost one or more shards: the answer is exact on
     /// what survived but its candidate coverage is incomplete.
     Coverage,
 }

@@ -1,8 +1,8 @@
 //! # csj-shard — supervised shard executor
 //!
-//! Runs one closure per shard on a small work-stealing worker pool and
-//! supervises every attempt from the calling thread. The robustness
-//! contract (DESIGN.md §17):
+//! Runs one closure per shard on a small work-stealing worker pool (the
+//! calling thread is one of its workers) and supervises every attempt
+//! from a dedicated thread. The robustness contract (DESIGN.md §17):
 //!
 //! * every attempt runs inside its own `catch_unwind` boundary — a
 //!   panicking shard resolves to a typed [`ShardOutcome`], it never
@@ -97,8 +97,9 @@ impl<R> ShardReport<R> {
 /// loser cancellation, and global cancellation effective.
 #[derive(Debug, Clone)]
 pub struct ShardCtx {
-    /// This attempt's cancellation slice. Tripped by the supervisor on
-    /// shard deadline, hedge-race loss, or global cancellation.
+    /// This attempt's cancellation slice: a child of the query's global
+    /// token, tripped by the supervisor on shard deadline or hedge-race
+    /// loss.
     pub cancel: CancelToken,
     /// Shard id the attempt is computing.
     pub shard: usize,
@@ -106,13 +107,11 @@ pub struct ShardCtx {
     pub attempt: u32,
 }
 
-/// Knobs for the sharded execution layer. Carried on `EngineConfig`;
-/// the pool size itself is the engine's `threads` knob (shards share
-/// the one parallelism budget — see the oversubscription note there).
+/// Knobs for the shard executor. Carried on `EngineConfig`; the pool
+/// size itself is the engine's `threads` knob (shards share the one
+/// parallelism budget — see the oversubscription note there).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardConfig {
-    /// Route multi-pair queries through the sharded path.
-    pub enabled: bool,
     /// Shard count; 0 means auto (the engine uses its thread count).
     pub shards: usize,
     /// Per-shard deadline slice. A shard past it has its attempt tokens
@@ -132,7 +131,6 @@ pub struct ShardConfig {
 impl Default for ShardConfig {
     fn default() -> Self {
         ShardConfig {
-            enabled: false,
             shards: 0,
             shard_deadline: None,
             hedge_floor: Duration::from_millis(10),
@@ -165,9 +163,11 @@ struct Attempt {
 }
 
 impl Attempt {
-    fn new() -> Self {
+    /// A fresh attempt whose token also trips with the query's `global`
+    /// token, so global cancellation reaches running attempts directly.
+    fn new(global: &CancelToken) -> Self {
         Attempt {
-            token: CancelToken::new(),
+            token: global.child(),
             started: None,
             done: None,
         }
@@ -193,11 +193,19 @@ struct Pool<R> {
     ready: Condvar,
     shutdown: std::sync::atomic::AtomicBool,
     states: Mutex<Vec<ShardState<R>>>,
+    /// Paired with `states`: signalled whenever an attempt ends, so the
+    /// supervisor resolves a shard as soon as its attempt returns
+    /// instead of at its next polling tick.
+    attempt_ended: Condvar,
 }
 
+/// How often the supervisor re-checks deadline slices and stragglers
+/// while one of them can fire and no attempt ends.
+const SUPERVISOR_TICK: Duration = Duration::from_micros(200);
+
 /// The supervised executor. Construct one per query from the engine's
-/// config; `run` blocks the calling thread (which acts as supervisor)
-/// until every shard has resolved.
+/// config; `run` blocks the calling thread (which works as one of the
+/// pool's workers) until every shard has resolved.
 pub struct ShardExecutor {
     cfg: ShardConfig,
     threads: usize,
@@ -243,7 +251,7 @@ impl ShardExecutor {
             states: Mutex::new(
                 (0..shard_count)
                     .map(|_| ShardState {
-                        attempts: vec![Attempt::new()],
+                        attempts: vec![Attempt::new(global)],
                         value: None,
                         winner_elapsed: None,
                         timed_out: false,
@@ -253,20 +261,27 @@ impl ShardExecutor {
                     })
                     .collect(),
             ),
+            attempt_ended: Condvar::new(),
         };
         let workers = self.threads.min(shard_count).max(1);
 
+        // The calling thread is one of the workers, so a one-worker run
+        // keeps its joins (and their allocations) on the caller's thread;
+        // the supervisor gets a thread of its own.
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            for _ in 1..workers {
                 scope.spawn(|| self.worker_loop(&pool, global, &f));
             }
-            self.supervise(&pool, global, shard_count);
-            {
-                let _q = pool.queue.lock().unwrap_or_else(|e| e.into_inner());
-                pool.shutdown
-                    .store(true, std::sync::atomic::Ordering::SeqCst);
-            }
-            pool.ready.notify_all();
+            scope.spawn(|| {
+                self.supervise(&pool, global);
+                {
+                    let _q = pool.queue.lock().unwrap_or_else(|e| e.into_inner());
+                    pool.shutdown
+                        .store(true, std::sync::atomic::Ordering::SeqCst);
+                }
+                pool.ready.notify_all();
+            });
+            self.worker_loop(&pool, global, &f);
         });
 
         let states = pool.states.into_inner().unwrap_or_else(|e| e.into_inner());
@@ -328,6 +343,7 @@ impl ShardExecutor {
                 let idx = attempt as usize;
                 if st.value.is_some() || st.resolved.is_some() || global.is_cancelled() {
                     st.attempts[idx].done = Some(AttemptEnd::Skipped);
+                    pool.attempt_ended.notify_one();
                     continue;
                 }
                 let now = Instant::now();
@@ -348,6 +364,7 @@ impl ShardExecutor {
                     states[shard].attempts[attempt as usize].done = Some(AttemptEnd::Killed(
                         format!("shard {shard} worker killed by fault injector"),
                     ));
+                    pool.attempt_ended.notify_one();
                     continue;
                 }
                 if let Some(stall) = plan.take_stall(shard) {
@@ -364,7 +381,7 @@ impl ShardExecutor {
             let inject_panic = self
                 .faults
                 .as_ref()
-                .map_or(false, |plan| plan.take_panic(shard));
+                .is_some_and(|plan| plan.take_panic(shard));
             #[cfg(not(feature = "fault-injection"))]
             let inject_panic = false;
 
@@ -403,97 +420,92 @@ impl ShardExecutor {
                     st.attempts[idx].done = Some(AttemptEnd::Panicked(panic_message(payload), dur));
                 }
             }
+            pool.attempt_ended.notify_one();
         }
     }
 
-    /// Supervisor loop on the calling thread: marks deadline slices,
+    /// Supervisor loop, on its own thread: marks deadline slices,
     /// dispatches hedges (one per shard — immediately when the primary
-    /// attempt died, or past the straggler threshold), propagates
-    /// global cancellation, and resolves each shard exactly once.
-    fn supervise<R: Send>(&self, pool: &Pool<R>, global: &CancelToken, shard_count: usize) {
+    /// attempt died, or past the straggler threshold) and resolves each
+    /// shard exactly once. It holds the state lock except while parked,
+    /// wakes when an attempt ends (and every [`SUPERVISOR_TICK`] while a
+    /// deadline slice or straggler hedge can fire), and returns in the
+    /// pass that resolves the last shard.
+    fn supervise<R: Send>(&self, pool: &Pool<R>, global: &CancelToken) {
+        let mut states = pool.states.lock().unwrap_or_else(|e| e.into_inner());
         loop {
             let mut hedges: Vec<usize> = Vec::new();
-            let mut resolved_all = true;
-            {
-                let mut states = pool.states.lock().unwrap_or_else(|e| e.into_inner());
-                let mut samples: Vec<Duration> = states
-                    .iter()
-                    .flat_map(|st| st.attempts.iter())
-                    .filter_map(|a| match &a.done {
-                        Some(AttemptEnd::Ok(d)) => Some(*d),
-                        _ => None,
-                    })
-                    .collect();
-                let threshold = self.straggler_threshold(&mut samples);
-                let now = Instant::now();
+            let mut samples: Vec<Duration> = states
+                .iter()
+                .flat_map(|st| st.attempts.iter())
+                .filter_map(|a| match &a.done {
+                    Some(AttemptEnd::Ok(d)) => Some(*d),
+                    _ => None,
+                })
+                .collect();
+            let threshold = self.straggler_threshold(&mut samples);
+            let now = Instant::now();
 
-                for shard in 0..states.len() {
-                    let st = &mut states[shard];
-                    if st.resolved.is_some() {
-                        continue;
-                    }
-                    resolved_all = false;
+            for (shard, st) in states.iter_mut().enumerate() {
+                if st.resolved.is_some() {
+                    continue;
+                }
 
-                    if global.is_cancelled() {
+                if let (Some(deadline), Some(first)) = (self.cfg.shard_deadline, st.first_start) {
+                    if !st.timed_out && now.duration_since(first) > deadline {
+                        st.timed_out = true;
                         for a in &st.attempts {
                             a.token.cancel();
                         }
                     }
-                    if let (Some(deadline), Some(first)) = (self.cfg.shard_deadline, st.first_start)
+                }
+
+                if let Some((winner, _)) = &st.value {
+                    st.resolved = Some(if *winner > 0 {
+                        ShardOutcome::Hedged
+                    } else if st.timed_out {
+                        ShardOutcome::TimedOut
+                    } else {
+                        ShardOutcome::Completed
+                    });
+                    continue;
+                }
+
+                let pending = st.attempts.iter().any(|a| a.done.is_none());
+                let may_hedge = !st.hedged && !st.timed_out && !global.is_cancelled();
+                if !pending {
+                    // Every dispatched attempt ended without a
+                    // value (panic, kill, or skip).
+                    if may_hedge
+                        && st
+                            .attempts
+                            .iter()
+                            .any(|a| !matches!(a.done, Some(AttemptEnd::Skipped)))
                     {
-                        if !st.timed_out && now.duration_since(first) > deadline {
-                            st.timed_out = true;
-                            for a in &st.attempts {
-                                a.token.cancel();
-                            }
-                        }
+                        st.hedged = true;
+                        st.attempts.push(Attempt::new(global));
+                        hedges.push(shard);
+                    } else if st.attempts.iter().all(|a| a.started.is_none()) {
+                        st.resolved = Some(ShardOutcome::Cancelled);
+                    } else if st.timed_out {
+                        st.resolved = Some(ShardOutcome::TimedOut);
+                    } else {
+                        st.resolved = Some(ShardOutcome::Panicked);
                     }
-
-                    if let Some((winner, _)) = &st.value {
-                        st.resolved = Some(if *winner > 0 {
-                            ShardOutcome::Hedged
-                        } else if st.timed_out {
-                            ShardOutcome::TimedOut
-                        } else {
-                            ShardOutcome::Completed
-                        });
-                        continue;
-                    }
-
-                    let pending = st.attempts.iter().any(|a| a.done.is_none());
-                    let may_hedge = !st.hedged && !st.timed_out && !global.is_cancelled();
-                    if !pending {
-                        // Every dispatched attempt ended without a
-                        // value (panic, kill, or skip).
-                        if may_hedge
-                            && st
-                                .attempts
-                                .iter()
-                                .any(|a| !matches!(a.done, Some(AttemptEnd::Skipped)))
-                        {
+                } else if may_hedge && st.attempts.len() == 1 {
+                    if let (Some(limit), Some(first)) = (threshold, st.first_start) {
+                        if now.duration_since(first) > limit {
                             st.hedged = true;
-                            st.attempts.push(Attempt::new());
+                            st.attempts.push(Attempt::new(global));
                             hedges.push(shard);
-                        } else if st.attempts.iter().all(|a| a.started.is_none()) {
-                            st.resolved = Some(ShardOutcome::Cancelled);
-                        } else if st.timed_out {
-                            st.resolved = Some(ShardOutcome::TimedOut);
-                        } else {
-                            st.resolved = Some(ShardOutcome::Panicked);
-                        }
-                    } else if may_hedge && st.attempts.len() == 1 {
-                        if let (Some(limit), Some(first)) = (threshold, st.first_start) {
-                            if now.duration_since(first) > limit {
-                                st.hedged = true;
-                                st.attempts.push(Attempt::new());
-                                hedges.push(shard);
-                            }
                         }
                     }
                 }
             }
 
             if !hedges.is_empty() {
+                // Lock order is states → queue everywhere: workers never
+                // hold the queue while taking the state lock.
                 let mut q = pool.queue.lock().unwrap_or_else(|e| e.into_inner());
                 for shard in &hedges {
                     q.push_back((*shard, 1));
@@ -502,11 +514,22 @@ impl ShardExecutor {
                 pool.ready.notify_all();
             }
 
-            if resolved_all {
+            if states.iter().all(|st| st.resolved.is_some()) {
                 return;
             }
-            debug_assert!(shard_count > 0);
-            std::thread::sleep(Duration::from_micros(200));
+            // Every ending attempt signals, and attempts see global
+            // cancellation through their child tokens: only deadline
+            // slices and straggler hedging need a clock.
+            states = if self.cfg.shard_deadline.is_some() || threshold.is_some() {
+                pool.attempt_ended
+                    .wait_timeout(states, SUPERVISOR_TICK)
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0
+            } else {
+                pool.attempt_ended
+                    .wait(states)
+                    .unwrap_or_else(|e| e.into_inner())
+            };
         }
     }
 
@@ -611,6 +634,29 @@ mod tests {
         for r in &reports {
             assert_eq!(r.outcome, ShardOutcome::Cancelled, "shard {}", r.shard);
             assert!(r.value.is_none());
+        }
+    }
+
+    #[test]
+    fn global_cancel_reaches_running_attempts() {
+        // Shard 0 trips the query's token mid-run; the other running
+        // attempt sees it through its child token and winds down.
+        let global = CancelToken::new();
+        let ex = exec(ShardConfig::default(), 2);
+        let reports = ex.run(2, &global, |ctx| {
+            if ctx.shard == 0 {
+                global.cancel();
+            }
+            while !ctx.cancel.is_cancelled() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            ctx.shard
+        });
+        for r in &reports {
+            assert!(
+                r.value == Some(r.shard) || r.outcome == ShardOutcome::Cancelled,
+                "{r:?}"
+            );
         }
     }
 

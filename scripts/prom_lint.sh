@@ -13,7 +13,9 @@
 #     instantaneous evaluations, never monotonic), `*_total` families
 #     must be counters, and the `csj_shard_*` coverage families are
 #     pinned (fate counters end in `_total`; the only non-counter is
-#     the `csj_shard_latency_seconds` histogram);
+#     the `csj_shard_latency_seconds` histogram), and an exposition
+#     with shard families must carry the merge check's
+#     `csj_shard_identity_breaches_total` counter;
 #   * at least one metric family is present (an empty exposition is a
 #     wiring bug, not a clean bill of health).
 #
@@ -50,6 +52,7 @@ function base(n) { sub(/_(bucket|sum|count)$/, "", n); return n }
         else if (name != "csj_shard_latency_seconds" && !(name ~ /_total$/))
             fail("shard family " name " must be a _total counter or the latency histogram")
     }
+    if (name ~ /^csj_shard_/) shard_families = 1
     type[name] = kind
     families++
     next
@@ -93,6 +96,9 @@ function base(n) { sub(/_(bucket|sum|count)$/, "", n); return n }
 
 END {
     if (families == 0) { print "prom_lint: empty exposition (no # TYPE lines)" > "/dev/stderr"; bad = 1 }
+    if (shard_families && type["csj_shard_identity_breaches_total"] != "counter") {
+        print "prom_lint: shard families without the csj_shard_identity_breaches_total counter" > "/dev/stderr"; bad = 1
+    }
     for (fam in type) {
         if (type[fam] != "histogram") continue
         if (!(fam in seen_bucket)) { print "prom_lint: histogram " fam " has no _bucket samples" > "/dev/stderr"; bad = 1 }
