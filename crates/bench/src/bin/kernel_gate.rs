@@ -1,16 +1,18 @@
-//! `kernel_gate` — assert the quantized, cache-blocked kernel path
+//! `kernel_gate` — assert the chunked, cache-blocked kernel path
 //! beats the scalar serial baseline on Section 6 table shapes.
 //!
 //! For each gate shape the exact nested-loop scan (the kernel the
 //! other substrates inherit their compare primitive from) is measured
 //! twice, best of N rounds: once with [`QuantMode::Off`] (the serial
-//! scalar reference) and once with [`QuantMode::Auto`] (narrow-lane
-//! encoding + cache-blocked tiling). Each couple runs in two flavours:
+//! scalar reference) and once with [`QuantMode::Auto`] (chunked `u32`
+//! compares + cache-blocked tiling). Each couple runs in two flavours:
 //!
-//! * **wide** — the VK-shaped counters as built (u32 lanes; the win
-//!   comes from tiling and bulk row bookkeeping), and
-//! * **narrow** — the same rows remapped into u8 range, so the gate
-//!   also exercises the narrow-lane encodings end to end.
+//! * **wide** — the VK-shaped counters as built, and
+//! * **narrow** — the same rows remapped into byte range, so the gate
+//!   also covers small-value data.
+//!
+//! Both flavours compare on `u32` lanes; the win comes from the
+//! branchless chunks, tiling and bulk row bookkeeping.
 //!
 //! Before timing, every one of the eight methods is run in both modes
 //! on the smallest shape and the pair lists must agree — the gate
@@ -48,8 +50,8 @@ const ALL: [CsjMethod; 8] = [
 /// Couples spanning Section 6's size spectrum (indices into COUPLES).
 const GATE_COUPLES: [usize; 3] = [0, 7, 14];
 
-/// Counters in the narrow flavour are remapped below this modulus so
-/// the pair lane (with the VK eps of 1) quantizes to u8.
+/// Counters in the narrow flavour are remapped below this modulus (a
+/// byte's range).
 const NARROW_MOD: u32 = 200;
 
 fn usage() -> ! {
@@ -64,8 +66,7 @@ struct Shape {
     eps: u32,
 }
 
-/// Remap every counter below `NARROW_MOD` (same ids, same order), so
-/// the quantizer picks u8 lanes for the pair.
+/// Remap every counter below `NARROW_MOD` (same ids, same order).
 fn narrowed(c: &Community, name: &str) -> Community {
     Community::from_rows(
         name,
@@ -78,7 +79,7 @@ fn narrowed(c: &Community, name: &str) -> Community {
     .expect("narrowed community")
 }
 
-/// The wide (as built) and narrow (u8-range) flavours of one couple.
+/// The wide (as built) and narrow (byte-range) flavours of one couple.
 fn shapes(couple_idx: usize, scale: u32, seed: u64) -> [Shape; 2] {
     let spec = &COUPLES[couple_idx];
     let pair = build_couple(spec, Dataset::VkLike, BuildOptions { scale, seed });
@@ -118,7 +119,7 @@ fn measure(shape: &Shape, quant: QuantMode, rounds: u32) -> Duration {
         .expect("at least one round")
 }
 
-/// One gate row: both timings plus the Auto run's encoding telemetry.
+/// One gate row: both timings plus the Auto run's kernel telemetry.
 struct Row {
     label: String,
     nb: usize,
@@ -229,7 +230,7 @@ fn main() {
             .expect("parity join (auto)");
             if off.pairs != auto.pairs {
                 eprintln!(
-                    "kernel_gate: PARITY FAIL — {} on {} differs with quantization on",
+                    "kernel_gate: PARITY FAIL — {} on {} differs between the chunked and scalar paths",
                     m.name(),
                     flavour.label,
                 );

@@ -2759,8 +2759,8 @@ mod tests {
         );
         assert!(out.contains("matcher:"), "explain output was: {out}");
         assert!(out.contains("cancel polls:"), "explain output was: {out}");
-        // The quantized-kernel section: which counter lane the kernel
-        // selected and how many L1 tiles the blocked scan walked.
+        // The kernel section: which compare path the kernel ran on and
+        // how many L1 tiles the blocked scan walked.
         assert!(out.contains("encoding:"), "explain output was: {out}");
         assert!(out.contains("a-tiles"), "explain output was: {out}");
         // The plan section: requested vs chosen, estimated vs actual,

@@ -14,34 +14,13 @@ use crate::algorithms::kernel::{
 };
 use crate::algorithms::{CsjOptions, RawJoin};
 use crate::community::Community;
-use crate::quant::{LaneView, QuantizedCommunity};
-
-/// Quantize both sides when the fast path is on (the scalar view needs
-/// no side tables). Returned by value so the entry points can borrow
-/// views out of it for the drive's lifetime.
-fn quantize(
-    b: &Community,
-    a: &Community,
-    opts: &CsjOptions,
-) -> Option<(QuantizedCommunity, QuantizedCommunity)> {
-    opts.quant
-        .enabled()
-        .then(|| (QuantizedCommunity::build(b), QuantizedCommunity::build(a)))
-}
+use crate::quant::LaneView;
 
 /// Approximate Baseline: nested-loop substrate × greedy sink.
 pub fn ap_baseline(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
     let nb = b.len();
     let na = a.len();
-    let quant = quantize(b, a, opts);
-    let view = LaneView::select(
-        opts.quant,
-        b,
-        a,
-        quant.as_ref().map(|q| &q.0),
-        quant.as_ref().map(|q| &q.1),
-        opts.eps,
-    );
+    let view = LaneView::select(opts.quant, b, a, opts.eps);
     let mut out = RawJoin::default();
     let mut ctx = DriveCtx::new(opts.cancel.as_ref());
     let mut sink = GreedySink::new(nb, na);
@@ -69,15 +48,7 @@ pub fn ex_baseline(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
     let na = a.len();
     let threads = opts.threads.max(1).min(nb.max(1));
     let mut out = RawJoin::default();
-    let quant = quantize(b, a, opts);
-    let view = LaneView::select(
-        opts.quant,
-        b,
-        a,
-        quant.as_ref().map(|q| &q.0),
-        quant.as_ref().map(|q| &q.1),
-        opts.eps,
-    );
+    let view = LaneView::select(opts.quant, b, a, opts.eps);
     // The exact scan is unconditional (every row and column is wanted,
     // nothing is consumed mid-scan), so the cache-blocked drive emits
     // the identical edge list and telemetry; `Off` keeps the serial

@@ -31,7 +31,7 @@ use crate::algorithms::kernel::{
 use crate::algorithms::{CsjOptions, RawJoin};
 use crate::community::Community;
 use crate::encoding::{encode_vector_a, encode_vector_b, part_bounds};
-use crate::quant::{LaneView, QuantizedCommunity};
+use crate::quant::LaneView;
 
 /// Per-user encodings addressable by community index (unsorted — the EGO
 /// order provides the traversal; the encodings only filter).
@@ -122,32 +122,13 @@ fn hybrid_judgement(
     }
 }
 
-/// Quantized side tables for the leaf comparisons (`Off` skips them).
-fn quantize(
-    b: &Community,
-    a: &Community,
-    opts: &CsjOptions,
-) -> Option<(QuantizedCommunity, QuantizedCommunity)> {
-    opts.quant
-        .enabled()
-        .then(|| (QuantizedCommunity::build(b), QuantizedCommunity::build(a)))
-}
-
 /// Approximate hybrid: EGO recursion × greedy sink with the encoding
 /// filters in front of each comparison.
 pub fn ap_hybrid(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
     let setup = std::time::Instant::now();
     let (ps_b, ps_a) = prepare(b, a, opts.eps);
     let index = HybridIndex::build(b, a, opts.eps, opts.encoding.effective_parts(b.d()));
-    let quant = quantize(b, a, opts);
-    let view = LaneView::select(
-        opts.quant,
-        b,
-        a,
-        quant.as_ref().map(|q| &q.0),
-        quant.as_ref().map(|q| &q.1),
-        opts.eps,
-    );
+    let view = LaneView::select(opts.quant, b, a, opts.eps);
     let setup = setup.elapsed();
     let params = SuperEgoParams { t: opts.superego.t };
     let mut stats = EgoStats::default();
@@ -179,15 +160,7 @@ pub fn ex_hybrid(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
     let setup = std::time::Instant::now();
     let (ps_b, ps_a) = prepare(b, a, opts.eps);
     let index = HybridIndex::build(b, a, opts.eps, opts.encoding.effective_parts(b.d()));
-    let quant = quantize(b, a, opts);
-    let view = LaneView::select(
-        opts.quant,
-        b,
-        a,
-        quant.as_ref().map(|q| &q.0),
-        quant.as_ref().map(|q| &q.1),
-        opts.eps,
-    );
+    let view = LaneView::select(opts.quant, b, a, opts.eps);
     let setup = setup.elapsed();
     let params = SuperEgoParams { t: opts.superego.t };
     let mut stats = EgoStats::default();

@@ -590,9 +590,9 @@ pub(crate) fn join_worker<T>(handle: std::thread::ScopedJoinHandle<'_, T>) -> T 
 /// Drive the Baseline substrate: scan `A` for each `B` row in `rows`.
 /// The one nested loop behind both Ap- and Ex-Baseline (and their
 /// parallel row-range workers). The full d-dimensional comparison goes
-/// through the pair's resolved [`LaneView`], so the scan order —
-/// and with it every consumption/pruning decision — is untouched by
-/// the compact encodings.
+/// through the pair's [`LaneView`], so the scan order — and with it
+/// every consumption/pruning decision — is the same on the chunked and
+/// the scalar compare path.
 pub(crate) fn drive_baseline<S: PairSink>(
     view: &LaneView,
     rows: Range<usize>,
@@ -656,7 +656,7 @@ pub(crate) fn drive_baseline_blocked(
     /// `B` rows per block: enough to amortise each `A` tile sweep,
     /// small enough that the block's rows stay cache-resident too.
     const B_BLOCK: usize = 8;
-    let (tile_rows, tile_count) = crate::quant::tile_geometry(na, view.d(), view.lane_bytes());
+    let (tile_rows, tile_count) = crate::quant::tile_geometry(na, view.d());
     ctx.telemetry.lane_bits = ctx.telemetry.lane_bits.max(view.lane_bits());
     ctx.telemetry.a_tiles = ctx.telemetry.a_tiles.max(tile_count as u64);
     let mut row_hits: Vec<Vec<u32>> = vec![Vec::new(); B_BLOCK];

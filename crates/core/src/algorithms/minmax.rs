@@ -43,7 +43,7 @@ use crate::algorithms::{CsjOptions, RawJoin};
 use crate::community::Community;
 use crate::encoding::{encode_a, encode_b, EncodedA, EncodedB};
 use crate::events::Event;
-use crate::quant::{LaneView, QuantizedCommunity};
+use crate::quant::LaneView;
 
 /// Supplies [`Judgement`]s for candidate pairs whose encoded ID passed the
 /// Min/Max window. Production code uses [`RealOracle`]; the figure tests
@@ -54,8 +54,7 @@ pub(crate) trait MinMaxOracle {
 
 /// The production oracle: part/range filter, then strict per-dimension
 /// comparison through the encoded buffers' "real ID" indirection. The
-/// full comparison runs on the pair's resolved [`LaneView`] — narrow
-/// quantized lanes when the counters and `eps` permit.
+/// full comparison runs on the pair's [`LaneView`].
 pub(crate) struct RealOracle<'x> {
     pub view: LaneView<'x>,
     pub eb: &'x EncodedB,
@@ -141,34 +140,13 @@ pub(crate) fn drive_minmax<O: MinMaxOracle, S: PairSink>(
     }
 }
 
-/// Build the quantized side tables the fast path wants (no-op in `Off`
-/// mode — the scalar view reads the raw data directly).
-fn quantize(
-    b: &Community,
-    a: &Community,
-    opts: &CsjOptions,
-) -> Option<(QuantizedCommunity, QuantizedCommunity)> {
-    opts.quant
-        .enabled()
-        .then(|| (QuantizedCommunity::build(b), QuantizedCommunity::build(a)))
-}
-
 /// Approximate MinMax (Algorithm Ap-MinMax).
 pub fn ap_minmax(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
     let setup = std::time::Instant::now();
     let eb = encode_b(b, opts.encoding);
     let ea = encode_a(a, opts.eps, opts.encoding);
-    let quant = quantize(b, a, opts);
     let setup = setup.elapsed();
-    let mut raw = ap_minmax_prepared(
-        b,
-        a,
-        &eb,
-        &ea,
-        quant.as_ref().map(|q| &q.0),
-        quant.as_ref().map(|q| &q.1),
-        opts,
-    );
+    let mut raw = ap_minmax_prepared(b, a, &eb, &ea, opts);
     raw.timings.setup = setup;
     raw
 }
@@ -179,12 +157,10 @@ pub(crate) fn ap_minmax_prepared(
     a: &Community,
     eb: &EncodedB,
     ea: &EncodedA,
-    qb: Option<&QuantizedCommunity>,
-    qa: Option<&QuantizedCommunity>,
     opts: &CsjOptions,
 ) -> RawJoin {
     let mut out = RawJoin::default();
-    let view = LaneView::select(opts.quant, b, a, qb, qa, opts.eps);
+    let view = LaneView::select(opts.quant, b, a, opts.eps);
     let mut oracle = RealOracle { view, eb, ea };
     let mut ctx = DriveCtx::new(opts.cancel.as_ref());
     ctx.telemetry.lane_bits = view.lane_bits();
@@ -211,17 +187,8 @@ pub fn ex_minmax(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
     let setup = std::time::Instant::now();
     let eb = encode_b(b, opts.encoding);
     let ea = encode_a(a, opts.eps, opts.encoding);
-    let quant = quantize(b, a, opts);
     let setup = setup.elapsed();
-    let mut raw = ex_minmax_prepared(
-        b,
-        a,
-        &eb,
-        &ea,
-        quant.as_ref().map(|q| &q.0),
-        quant.as_ref().map(|q| &q.1),
-        opts,
-    );
+    let mut raw = ex_minmax_prepared(b, a, &eb, &ea, opts);
     raw.timings.setup = setup;
     raw
 }
@@ -235,12 +202,10 @@ pub(crate) fn ex_minmax_prepared(
     a: &Community,
     eb: &EncodedB,
     ea: &EncodedA,
-    qb: Option<&QuantizedCommunity>,
-    qa: Option<&QuantizedCommunity>,
     opts: &CsjOptions,
 ) -> RawJoin {
     let mut out = RawJoin::default();
-    let view = LaneView::select(opts.quant, b, a, qb, qa, opts.eps);
+    let view = LaneView::select(opts.quant, b, a, opts.eps);
     let mut oracle = RealOracle { view, eb, ea };
     let mut ctx = DriveCtx::new(opts.cancel.as_ref());
     ctx.telemetry.lane_bits = view.lane_bits();

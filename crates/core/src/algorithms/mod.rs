@@ -219,11 +219,11 @@ pub struct CsjOptions {
     /// truncated result is reported via [`JoinOutcome::cancelled`].
     /// `None` (the default) runs to completion.
     pub cancel: Option<CancelToken>,
-    /// Quantized fast-path control: `Auto`/`On` let the integer-domain
-    /// kernels run on the narrowest lossless lane (`u8`/`u16`/`u32`)
-    /// with cache-blocked tiling where the scan order permits; `Off`
-    /// forces the pre-quantization scalar kernels. Results are
-    /// identical in every mode (see `crate::quant`).
+    /// Compare-path control: `Auto` runs the integer-domain kernels on
+    /// the chunked, branchless `u32` compare, with cache-blocked tiling
+    /// for the exact Baseline scan; `Off` forces the scalar
+    /// short-circuit kernels. Results are identical in both modes (see
+    /// `crate::quant`).
     pub quant: QuantMode,
 }
 
@@ -262,7 +262,7 @@ impl CsjOptions {
         self
     }
 
-    /// Builder-style: set the quantized fast-path mode.
+    /// Builder-style: set the compare-path mode.
     pub fn with_quant(mut self, quant: QuantMode) -> Self {
         self.quant = quant;
         self

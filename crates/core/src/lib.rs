@@ -73,7 +73,7 @@ pub use error::CsjError;
 pub use events::{Event, EventCounters};
 pub use plan::{CostSample, CostTable, Exactness, PlanInput, QueryPlan};
 pub use prepared::PreparedCommunity;
-pub use quant::{pair_lane, tile_geometry, LaneKind, QuantMode, QuantizedCommunity};
+pub use quant::{tile_geometry, QuantMode};
 pub use shard::{community_mass, plan_shards, Coverage, ShardLayout};
 pub use similarity::Similarity;
 pub use telemetry::{JoinTelemetry, LogHistogram};
@@ -100,10 +100,10 @@ pub fn validate_sizes(nb: usize, na: usize) -> Result<(), CsjError> {
 /// Check that a `(b, a)` pair satisfies the strict per-dimension epsilon
 /// condition — the heart of CSJ.
 ///
-/// Routed through the one chunked lane primitive
-/// ([`csj_ego::lanes::all_within`]) that every scalar match path in the
-/// workspace shares; [`quant::QuantMode::Off`] selects the short-circuit
-/// reference instead.
+/// Routed through the chunked `u32` compare
+/// ([`csj_ego::lanes::all_within`]) that every match path in the
+/// workspace shares; only the join kernels' [`QuantMode::Off`]
+/// reference runs the short-circuit loop instead.
 #[inline]
 pub fn vectors_match(b: &[u32], a: &[u32], eps: u32) -> bool {
     debug_assert_eq!(b.len(), a.len());

@@ -24,8 +24,8 @@ use crate::prepared::PreparedCommunity;
 
 /// Format/semantics version of [`CostTable`]; bumped when the feature
 /// vector or the serialised layout changes incompatibly. v2 extended
-/// the vector with the quantized-kernel features (narrow-lane compare
-/// volume, A-tile count).
+/// the vector with the kernel features (lane-scaled compare volume,
+/// A-tile count).
 pub const COST_TABLE_VERSION: u32 = 2;
 
 /// Length of the per-method feature/weight vector.
@@ -88,11 +88,6 @@ pub struct PlanInput {
     /// `(0, 1]`. Derived from the prepared encodings' part-sum spread
     /// ([`PlanInput::from_prepared`]) or [`DEFAULT_DENSITY`].
     pub density: f64,
-    /// Bytes per counter lane the quantized kernel would use for this
-    /// pair (1, 2 or 4): the widest of both sides' narrowest fitting
-    /// lanes, widened further if `eps` exceeds the lane's range. 4 when
-    /// nothing is known about the data (cold CLI paths).
-    pub lane_bytes: usize,
 }
 
 impl PlanInput {
@@ -105,15 +100,7 @@ impl PlanInput {
             eps,
             exactness,
             density: DEFAULT_DENSITY,
-            lane_bytes: 4,
         }
-    }
-
-    /// Set the quantized lane width the kernel would pick for this pair
-    /// (see [`crate::quant::pair_lane`]).
-    pub fn with_lane(mut self, lane_bytes: usize) -> Self {
-        self.lane_bytes = lane_bytes;
-        self
     }
 
     /// Build the input from two prepared communities (`b` smaller, `a`
@@ -128,34 +115,23 @@ impl PlanInput {
     ) -> Self {
         let mut input = Self::new(b.len(), a.len(), b.community().d(), b.eps(), exactness);
         input.density = density_estimate(b, a);
-        input.lane_bytes =
-            crate::quant::pair_lane(b.quantized(), a.quantized(), b.eps()).bytes() as usize;
         input
     }
 
     /// The model's feature vector: `[1, setup elements, raw candidate
-    /// pairs, surviving comparisons, narrow-lane compare volume, A-tile
-    /// count]`. The last two describe the quantized kernel: the compare
-    /// volume rescaled by the chosen lane width (a `u8` pair moves a
-    /// quarter of the bytes a `u32` pair does, so its weight lets the
-    /// fit learn the narrow-lane discount) and the number of L1-sized
-    /// tiles the blocked scan walks (per-tile loop overhead).
+    /// pairs, surviving comparisons, lane-scaled compare volume, A-tile
+    /// count]`. The last two describe the kernel: the compare volume at
+    /// the kernel's lane width (every pair compares on `u32` lanes, so
+    /// it equals the surviving comparisons; the v2 table format keeps
+    /// the slot) and the number of L1-sized tiles the blocked scan walks
+    /// (per-tile loop overhead).
     pub fn features(&self) -> [f64; FEATURES] {
         let nb = self.nb as f64;
         let na = self.na as f64;
         let d = self.d as f64;
         let compare = nb * na * d * self.density.clamp(1e-6, 1.0);
-        let lane_scale = (self.lane_bytes.clamp(1, 4) as f64) / 4.0;
-        let (_, tiles) =
-            crate::quant::tile_geometry(self.na, self.d, self.lane_bytes.clamp(1, 4) as u32);
-        [
-            1.0,
-            (nb + na) * d,
-            nb * na,
-            compare,
-            compare * lane_scale,
-            tiles as f64,
-        ]
+        let (_, tiles) = crate::quant::tile_geometry(self.na, self.d);
+        [1.0, (nb + na) * d, nb * na, compare, compare, tiles as f64]
     }
 }
 
@@ -258,10 +234,10 @@ impl CostTable {
     /// shape already reproduces the paper's small-instance/large-
     /// instance crossover.
     pub fn seeded() -> Self {
-        // The two v2 kernel features (narrow-lane compare volume, tile
+        // The two v2 kernel features (lane-scaled compare volume, tile
         // count) are seeded at zero: the seed stays behaviourally
         // identical to the v1 table and only calibration against the
-        // quantized kernels gives them weight.
+        // kernels gives them weight.
         let row =
             |base: f64, setup: f64, scan: f64, compare: f64| [base, setup, scan, compare, 0.0, 0.0];
         Self {
@@ -554,22 +530,6 @@ mod tests {
         PlanInput::new(nb, na, d, eps, exactness)
     }
 
-    fn random_community(name: &str, n: usize, d: usize, seed: u64) -> crate::Community {
-        let mut state = seed;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u32
-        };
-        crate::Community::from_rows(
-            name,
-            d,
-            (0..n).map(|i| (i as u64, (0..d).map(|_| next() % 12).collect::<Vec<u32>>())),
-        )
-        .expect("well-formed")
-    }
-
     #[test]
     fn plan_respects_exactness() {
         let table = CostTable::seeded();
@@ -713,54 +673,6 @@ mod tests {
         assert_eq!(
             fitted.weights[method_index(CsjMethod::ApSuperEgo)],
             CostTable::seeded().weights[method_index(CsjMethod::ApSuperEgo)]
-        );
-    }
-
-    #[test]
-    fn narrow_lanes_shift_the_planned_crossover() {
-        // A calibrated table can express "the blocked Baseline scan is
-        // bandwidth-bound": its compare cost rides on the lane-scaled
-        // v2 feature while MinMax's stays on the raw pair count. On a
-        // u8-lane pair the quantized scan then wins the plan; the same
-        // shape with u32 lanes keeps the encoded method. The seeded
-        // weights alone can't distinguish these (both v2 features seed
-        // to zero) — this is exactly what `plan --calibrate` against
-        // the quantized kernels learns.
-        let mut table = CostTable::seeded();
-        let ex_baseline = method_index(CsjMethod::ExBaseline);
-        // All of ExBaseline's scan cost is byte volume: feature 4.
-        table.weights[ex_baseline] = [3.0, 0.0, 0.0, 0.0, 0.0120, 0.05];
-        let shape = input(600, 660, 27, 2, Exactness::Exact);
-
-        let wide = table.plan(&shape.with_lane(4));
-        assert_ne!(wide.chosen, CsjMethod::ExBaseline);
-
-        let narrow = table.plan(&shape.with_lane(1));
-        assert_eq!(narrow.chosen, CsjMethod::ExBaseline);
-        // The estimate itself reflects the 4x byte discount (modulo the
-        // fixed floor and per-tile overhead).
-        assert!(narrow.estimated_us < wide.candidates[0].estimated_us * 2.0);
-    }
-
-    #[test]
-    fn from_prepared_reports_the_pair_lane() {
-        let opts = crate::CsjOptions::new(1).with_parts(2);
-        let narrow = random_community("narrow", 30, 3, 11); // counters < 12
-        let wide = {
-            let mut c = random_community("wide", 30, 3, 12);
-            c.push(999, &[70_000, 1, 2]).unwrap();
-            c
-        };
-        let pn = PreparedCommunity::new(narrow, &opts);
-        let pw = PreparedCommunity::new(wide, &opts);
-        assert_eq!(
-            PlanInput::from_prepared(&pn, &pn, Exactness::Any).lane_bytes,
-            1
-        );
-        // One side exceeding u16 range widens the pair to u32.
-        assert_eq!(
-            PlanInput::from_prepared(&pn, &pw, Exactness::Any).lane_bytes,
-            4
         );
     }
 

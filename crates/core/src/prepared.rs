@@ -28,7 +28,6 @@ use std::sync::Arc;
 use crate::algorithms::{CsjOptions, RawJoin};
 use crate::community::Community;
 use crate::encoding::{encode_a, encode_b, EncodedA, EncodedB, EncodingParams};
-use crate::quant::QuantizedCommunity;
 
 /// A community with both MinMax encodings precomputed for a fixed
 /// `(eps, parts)` configuration.
@@ -44,7 +43,6 @@ pub struct PreparedCommunity {
     params: EncodingParams,
     as_b: EncodedB,
     as_a: EncodedA,
-    quant: QuantizedCommunity,
 }
 
 impl PreparedCommunity {
@@ -58,14 +56,12 @@ impl PreparedCommunity {
     pub fn from_shared(community: Arc<Community>, opts: &CsjOptions) -> Self {
         let as_b = encode_b(&community, opts.encoding);
         let as_a = encode_a(&community, opts.eps, opts.encoding);
-        let quant = QuantizedCommunity::build(&community);
         Self {
             community,
             eps: opts.eps,
             params: opts.encoding,
             as_b,
             as_a,
-            quant,
         }
     }
 
@@ -104,11 +100,6 @@ impl PreparedCommunity {
         &self.as_a
     }
 
-    /// The cached narrow-lane encoding for the kernel fast path.
-    pub fn quantized(&self) -> &QuantizedCommunity {
-        &self.quant
-    }
-
     /// The wrapped community's shared handle (cheap refcount bump).
     pub fn shared_community(&self) -> Arc<Community> {
         Arc::clone(&self.community)
@@ -140,14 +131,12 @@ impl PreparedCommunity {
                 "prepared buffers do not match the community/configuration".into(),
             ));
         }
-        let quant = QuantizedCommunity::build(&community);
         Ok(Self {
             community: Arc::new(community),
             eps,
             params,
             as_b,
             as_a,
-            quant,
         })
     }
 }
@@ -181,8 +170,6 @@ pub fn ap_minmax_between(
         a.community(),
         b.encoded_b(),
         a.encoded_a(),
-        Some(b.quantized()),
-        Some(a.quantized()),
         opts,
     )
 }
@@ -200,8 +187,6 @@ pub fn ex_minmax_between(
         a.community(),
         b.encoded_b(),
         a.encoded_a(),
-        Some(b.quantized()),
-        Some(a.quantized()),
         opts,
     )
 }

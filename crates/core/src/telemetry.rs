@@ -121,9 +121,9 @@ pub struct JoinTelemetry {
     pub matcher_edges: u64,
     /// Edge count of the largest single flush.
     pub largest_flush_edges: u64,
-    /// Compare-lane width in bits the kernel ran on (8/16/32 for the
-    /// quantized chunked kernels, 0 for the scalar reference path).
-    /// Merges as a max: the widest lane any merged join used.
+    /// Compare-lane width in bits the kernel ran on (32 for the chunked
+    /// `u32` kernels, 0 for the scalar reference path). Merges as a
+    /// max: 32 if any merged join ran chunked.
     pub lane_bits: u64,
     /// `A`-side cache tiles swept by the blocked all-pairs scan (0 when
     /// the drive was not tiled). Merges as a max — parallel workers of

@@ -3,92 +3,56 @@
 //! workspace routes through.
 //!
 //! The short-circuited form (`iter().zip().all(...)`) compiles to a
-//! branch per dimension, which defeats auto-vectorization. The kernels
-//! here instead evaluate a fixed-width chunk of dimensions branchlessly
-//! (`ok &= within` per lane) and only branch once per chunk, which LLVM
-//! lowers to SIMD compares on every target with vector units. Chunk
-//! geometry:
+//! branch per dimension, which defeats auto-vectorization. [`all_within`]
+//! instead evaluates 8-wide chunks of dimensions branchlessly
+//! (`ok &= within` per lane) and only branches once per chunk, which
+//! LLVM lowers to SIMD compares on every target with vector units (a
+//! `u32`/`f32` chunk is two 128-bit or one 256-bit register).
 //!
-//! * default build — 8 lanes for every scalar, a shape that
-//!   auto-vectorizes to 128-bit (SSE2/NEON) operations;
-//! * `--features simd` — full register geometry per element width
-//!   (`u8`×32, `u16`×16, `u32`/`f32`×8, i.e. the `u16x16`/`u32x8`-style
-//!   lanes of wider vector units), letting LLVM use 256-bit registers
-//!   where available.
-//!
-//! Both variants return exactly the same booleans as the scalar
-//! reference ([`all_within_scalar`]), so callers can swap freely between
-//! them without changing results.
+//! It returns exactly the same booleans as the scalar reference
+//! ([`all_within_scalar`]), so callers can swap freely between them
+//! without changing results.
 
 use crate::scalar::Scalar;
 
-/// Lane count used by [`all_within`] for an element of `BYTES` size.
-#[inline]
-#[must_use]
-pub const fn lane_width(bytes: usize) -> usize {
-    if cfg!(feature = "simd") {
-        // 256-bit register geometry, floored at 8 lanes.
-        let w = 32 / bytes;
-        if w < 8 {
-            8
-        } else {
-            w
-        }
-    } else {
-        8
-    }
-}
+/// Chunk width of [`all_within`].
+const LANES: usize = 8;
 
-/// Branchless evaluation of one `W`-wide chunk.
+/// Branchless evaluation of one `LANES`-wide chunk.
 #[inline]
-fn chunk_within<S: Scalar, const W: usize>(b: &[S], a: &[S], eps: S) -> bool {
+fn chunk_within<S: Scalar>(b: &[S], a: &[S], eps: S) -> bool {
     let mut ok = true;
-    for k in 0..W {
+    for k in 0..LANES {
         ok &= b[k].within(a[k], eps);
     }
     ok
 }
 
+/// `|b_i - a_i| <= eps` for every dimension, evaluated 8 lanes at a
+/// time.
+///
+/// Equivalent to [`all_within_scalar`] but vectorization-friendly.
 #[inline]
-fn all_within_w<S: Scalar, const W: usize>(b: &[S], a: &[S], eps: S) -> bool {
-    let mut bc = b.chunks_exact(W);
-    let mut ac = a.chunks_exact(W);
+#[must_use]
+pub fn all_within<S: Scalar>(b: &[S], a: &[S], eps: S) -> bool {
+    debug_assert_eq!(b.len(), a.len());
+    let mut bc = b.chunks_exact(LANES);
+    let mut ac = a.chunks_exact(LANES);
     for (bk, ak) in bc.by_ref().zip(ac.by_ref()) {
-        if !chunk_within::<S, W>(bk, ak, eps) {
+        if !chunk_within(bk, ak, eps) {
             return false;
         }
     }
     let rb = bc.remainder();
     let ra = ac.remainder();
-    // Step a wide tail down through the 8-lane kernel instead of a
-    // scalar loop: a 27-dim profile under a 32-wide chunk otherwise
-    // produces zero full chunks and never vectorizes at all.
-    if W > 8 && rb.len() >= 8 {
-        return all_within_w::<S, 8>(rb, ra, eps);
-    }
     rb.iter().zip(ra).all(|(&x, &y)| x.within(y, eps))
-}
-
-/// `|b_i - a_i| <= eps` for every dimension, evaluated chunk-at-a-time.
-///
-/// Equivalent to [`all_within_scalar`] but vectorization-friendly; the
-/// chunk width follows [`lane_width`] for the scalar's size.
-#[inline]
-#[must_use]
-pub fn all_within<S: Scalar>(b: &[S], a: &[S], eps: S) -> bool {
-    debug_assert_eq!(b.len(), a.len());
-    match lane_width(std::mem::size_of::<S>()) {
-        32 => all_within_w::<S, 32>(b, a, eps),
-        16 => all_within_w::<S, 16>(b, a, eps),
-        _ => all_within_w::<S, 8>(b, a, eps),
-    }
 }
 
 /// The scalar short-circuit reference: one branch per dimension.
 ///
-/// Kept as the explicit "legacy" path so benchmarks (and the
-/// quantization kill-switch in `csj-core`) can compare against the
-/// exact pre-vectorization behaviour.
+/// Kept as the explicit "legacy" path so benchmarks (and
+/// `QuantMode::Off` in `csj-core`) can compare against the exact
+/// pre-vectorization behaviour.
 #[inline]
 #[must_use]
 pub fn all_within_scalar<S: Scalar>(b: &[S], a: &[S], eps: S) -> bool {
@@ -118,20 +82,18 @@ mod tests {
             let a = b.clone();
             assert!(all_within(&b, &a, 0), "d={d} equal");
         }
-    }
-
-    #[test]
-    fn chunked_matches_scalar_narrow_lanes() {
+        // Small-range values (byte- and 16-bit-sized profiles) widened
+        // to u32 run the same chunked path.
         let d = 27usize;
-        let b: Vec<u8> = (0..d as u8).map(|v| v.wrapping_mul(7)).collect();
+        let b: Vec<u32> = (0..d as u32).map(|v| (v * 7) % 256).collect();
         let mut a = b.clone();
-        a[13] = a[13].wrapping_add(50);
-        assert_eq!(all_within(&b, &a, 4u8), all_within_scalar(&b, &a, 4u8));
-        let b16: Vec<u16> = b.iter().map(|&v| v as u16 * 300).collect();
-        let a16: Vec<u16> = a.iter().map(|&v| v as u16 * 300).collect();
+        a[13] = (a[13] + 50) % 256;
+        assert_eq!(all_within(&b, &a, 4), all_within_scalar(&b, &a, 4));
+        let b16: Vec<u32> = b.iter().map(|&v| v * 300).collect();
+        let a16: Vec<u32> = a.iter().map(|&v| v * 300).collect();
         assert_eq!(
-            all_within(&b16, &a16, 1000u16),
-            all_within_scalar(&b16, &a16, 1000u16)
+            all_within(&b16, &a16, 1000),
+            all_within_scalar(&b16, &a16, 1000)
         );
     }
 

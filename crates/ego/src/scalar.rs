@@ -45,42 +45,6 @@ impl Scalar for f32 {
     }
 }
 
-impl Scalar for u8 {
-    #[inline]
-    fn cell(self, width: u8) -> u32 {
-        debug_assert!(width > 0);
-        (self / width) as u32
-    }
-
-    #[inline]
-    fn within(self, other: u8, eps: u8) -> bool {
-        self.abs_diff(other) <= eps
-    }
-
-    #[inline]
-    fn abs_diff_f64(self, other: u8) -> f64 {
-        self.abs_diff(other) as f64
-    }
-}
-
-impl Scalar for u16 {
-    #[inline]
-    fn cell(self, width: u16) -> u32 {
-        debug_assert!(width > 0);
-        (self / width) as u32
-    }
-
-    #[inline]
-    fn within(self, other: u16, eps: u16) -> bool {
-        self.abs_diff(other) <= eps
-    }
-
-    #[inline]
-    fn abs_diff_f64(self, other: u16) -> f64 {
-        self.abs_diff(other) as f64
-    }
-}
-
 impl Scalar for u32 {
     #[inline]
     fn cell(self, width: u32) -> u32 {

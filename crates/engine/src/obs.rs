@@ -115,7 +115,7 @@ pub(crate) struct EngineObs {
     matcher_flushes: Arc<Counter>,
     matcher_edges: Arc<Counter>,
     cancel_polls: Arc<Counter>,
-    encode_lane: [Arc<Counter>; 4],
+    encode_lane: [Arc<Counter>; 2],
     encode_tiles: Arc<Counter>,
     shard_dispatched: Arc<Counter>,
     shard_outcomes: [Arc<Counter>; 3],
@@ -298,10 +298,10 @@ impl EngineObs {
                 "Cooperative cancellation polls performed by the kernel.",
                 vec![],
             ),
-            encode_lane: ["scalar", "u8", "u16", "u32"].map(|lane| {
+            encode_lane: ["scalar", "u32"].map(|lane| {
                 registry.counter(
                     "csj_encode_lane_total",
-                    "Joins by the counter lane the quantized kernel selected.",
+                    "Joins by compare path: the scalar reference or chunked u32 lanes.",
                     vec![("lane", lane.to_string())],
                 )
             }),
@@ -403,13 +403,7 @@ impl EngineObs {
         self.matcher_flushes.add(telemetry.matcher_flushes);
         self.matcher_edges.add(telemetry.matcher_edges);
         self.cancel_polls.add(telemetry.cancel_polls);
-        let lane_idx = match telemetry.lane_bits {
-            8 => 1,
-            16 => 2,
-            32 => 3,
-            _ => 0,
-        };
-        self.encode_lane[lane_idx].inc();
+        self.encode_lane[usize::from(telemetry.lane_bits != 0)].inc();
         self.encode_tiles.add(telemetry.a_tiles);
         self.stream_depth
             .merge(&telemetry.stream_depth_hist, telemetry.candidates_streamed);
