@@ -3,9 +3,14 @@
 //!
 //! For each gate shape the exact nested-loop scan (the kernel the
 //! other substrates inherit their compare primitive from) is measured
-//! twice, best of N rounds: once with [`QuantMode::Off`] (the serial
-//! scalar reference) and once with [`QuantMode::Auto`] (chunked `u32`
-//! compares + cache-blocked tiling). Each couple runs in two flavours:
+//! in two modes over N rounds: [`QuantMode::Off`] (the serial scalar
+//! reference) and [`QuantMode::Auto`] (chunked `u32` compares +
+//! cache-blocked tiling). Every round times both modes back to back,
+//! alternating which goes first, and a shape's speedup is the median of
+//! its per-round Off/Auto ratios: a noisy stretch on a shared host slows
+//! both sides of one round's ratio instead of one side's best time, and
+//! one lucky round cannot set the result. Each couple runs in two
+//! flavours:
 //!
 //! * **wide** — the VK-shaped counters as built, and
 //! * **narrow** — the same rows remapped into byte range, so the gate
@@ -105,18 +110,37 @@ fn opts(eps: u32, quant: QuantMode) -> CsjOptions {
     CsjOptions::new(eps).with_quant(quant)
 }
 
-/// Best-of-`rounds` wall-clock of the exact nested-loop scan.
-fn measure(shape: &Shape, quant: QuantMode, rounds: u32) -> Duration {
-    let o = opts(shape.eps, quant);
-    (0..rounds)
-        .map(|_| {
-            run(CsjMethod::ExBaseline, &shape.b, &shape.a, &o)
-                .expect("gate join")
-                .timings
-                .total()
-        })
-        .min()
-        .expect("at least one round")
+/// The exact nested-loop scan timed in both modes, interleaved within
+/// every round: best-of-`rounds` wall clock of Off and of Auto, and the
+/// median of the per-round Off/Auto ratios.
+fn measure(shape: &Shape, rounds: u32) -> (Duration, Duration, f64) {
+    let time = |quant: QuantMode| {
+        run(
+            CsjMethod::ExBaseline,
+            &shape.b,
+            &shape.a,
+            &opts(shape.eps, quant),
+        )
+        .expect("gate join")
+        .timings
+        .total()
+    };
+    let (mut off, mut auto) = (Duration::MAX, Duration::MAX);
+    let mut ratios = Vec::with_capacity(rounds as usize);
+    for round in 0..rounds {
+        let (o, a) = if round % 2 == 0 {
+            let o = time(QuantMode::Off);
+            (o, time(QuantMode::Auto))
+        } else {
+            let a = time(QuantMode::Auto);
+            (time(QuantMode::Off), a)
+        };
+        off = off.min(o);
+        auto = auto.min(a);
+        ratios.push(o.as_secs_f64() / a.as_secs_f64().max(1e-9));
+    }
+    ratios.sort_by(f64::total_cmp);
+    (off, auto, ratios[ratios.len() / 2])
 }
 
 /// One gate row: both timings plus the Auto run's kernel telemetry.
@@ -130,12 +154,8 @@ struct Row {
     a_tiles: u64,
     scalar: Duration,
     quant: Duration,
-}
-
-impl Row {
-    fn speedup(&self) -> f64 {
-        self.scalar.as_secs_f64() / self.quant.as_secs_f64().max(1e-9)
-    }
+    /// Median of the per-round scalar/quant ratios.
+    speedup: f64,
 }
 
 fn json_report(rows: &[Row], scale: u32, rounds: u32, threshold: f64, geomean: f64) -> String {
@@ -161,7 +181,7 @@ fn json_report(rows: &[Row], scale: u32, rounds: u32, threshold: f64, geomean: f
             r.a_tiles,
             r.scalar.as_micros(),
             r.quant.as_micros(),
-            r.speedup(),
+            r.speedup,
         ));
     }
     out.push_str("  ]\n}\n");
@@ -170,7 +190,7 @@ fn json_report(rows: &[Row], scale: u32, rounds: u32, threshold: f64, geomean: f
 
 fn main() {
     let mut scale = 64u32;
-    let mut rounds = 3u32;
+    let mut rounds = 15u32;
     let mut threshold = 1.3f64;
     let mut out_path = std::path::PathBuf::from("EXPERIMENTS-data/BENCH_kernel.json");
     let mut args = std::env::args().skip(1);
@@ -241,13 +261,11 @@ fn main() {
     println!("kernel_gate: parity ok (8 methods x 2 flavours, off == auto)");
 
     // Warm-up: one pass of each mode on the first shape.
-    measure(&gate_shapes[0], QuantMode::Off, 1);
-    measure(&gate_shapes[0], QuantMode::Auto, 1);
+    measure(&gate_shapes[0], 1);
 
     let mut rows: Vec<Row> = Vec::new();
     for s in &gate_shapes {
-        let scalar = measure(s, QuantMode::Off, rounds);
-        let quant = measure(s, QuantMode::Auto, rounds);
+        let (scalar, quant, speedup) = measure(s, rounds);
         let probe = run(
             CsjMethod::ExBaseline,
             &s.b,
@@ -265,16 +283,17 @@ fn main() {
             a_tiles: probe.telemetry.a_tiles,
             scalar,
             quant,
+            speedup,
         });
     }
 
-    let geomean = (rows.iter().map(|r| r.speedup().ln()).sum::<f64>() / rows.len() as f64).exp();
+    let geomean = (rows.iter().map(|r| r.speedup.ln()).sum::<f64>() / rows.len() as f64).exp();
 
     let mut failed = false;
     for r in &rows {
         // Any single shape dropping below par means the fast path is a
         // pessimisation somewhere — fail even if the mean still clears.
-        let verdict = if r.speedup() < 1.0 {
+        let verdict = if r.speedup < 1.0 {
             failed = true;
             "FAIL"
         } else {
@@ -289,7 +308,7 @@ fn main() {
             r.a_tiles,
             r.scalar.as_secs_f64() * 1e3,
             r.quant.as_secs_f64() * 1e3,
-            r.speedup(),
+            r.speedup,
         );
     }
     if geomean < threshold {

@@ -2203,6 +2203,7 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
     let started = Instant::now();
     let mut tickets: Vec<Ticket> = Vec::with_capacity(total as usize);
     let mut shed_local = 0u64;
+    let classic_chaos = args.chaos && args.chaos_mode.is_none();
     for i in 0..total {
         let due = started + Duration::from_nanos(i * interval_ns);
         if let Some(ahead) = due.checked_duration_since(Instant::now()) {
@@ -2214,6 +2215,18 @@ fn serve_sim(args: SimArgs) -> Result<String, CliError> {
                 k: 3,
             },
             4 => Request::PairsAbove { threshold: 0.2 },
+            // Classic chaos, after the first round (whose requests trip
+            // the ex-minmax breaker on the panicking community): the
+            // similarity slots pair the slow community with the others
+            // under a non-refine exact method. `similarity_with` runs
+            // such a join uncached, so every one of them pays the slow
+            // join and the stream overloads the service however warm
+            // the pair cache is.
+            _ if classic_chaos && i >= 5 => Request::Similarity {
+                x: handles[1],
+                y: handles[(2 + i as usize % (args.communities - 1)) % args.communities],
+                method: Some(CsjMethod::ExHybrid),
+            },
             _ => Request::Similarity {
                 x: handles[0],
                 y: handles[1 + i as usize % (args.communities - 1)],

@@ -72,6 +72,18 @@ fn prepare(
     (ps_b, ps_a, pred)
 }
 
+/// Lane width in bits of the compare path `pred` runs, for
+/// [`JoinTelemetry::lane_bits`](crate::JoinTelemetry): the
+/// per-dimension predicate compares 32-bit `f32` lanes chunk by chunk
+/// (`csj_ego::lanes::all_within`, whatever the quant mode); the
+/// aggregate predicates are scalar loops (`0`).
+fn lane_bits(pred: &JoinPredicate<f32>) -> u64 {
+    match pred {
+        JoinPredicate::PerDim { .. } => 32,
+        _ => 0,
+    }
+}
+
 /// Approximate SuperEGO: the recursion with the greedy sink at the
 /// leaves.
 pub fn ap_superego(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
@@ -82,6 +94,7 @@ pub fn ap_superego(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
     let setup = setup.elapsed();
     let mut stats = EgoStats::default();
     let mut ctx = DriveCtx::new(opts.cancel.as_ref());
+    ctx.telemetry.lane_bits = lane_bits(&pred);
     let mut sink = GreedySink::new(ps_b.len(), ps_a.len());
     drive_ego(
         &ps_b,
@@ -118,6 +131,7 @@ pub fn ex_superego(b: &Community, a: &Community, opts: &CsjOptions) -> RawJoin {
     let setup = setup.elapsed();
     let mut stats = EgoStats::default();
     let mut ctx = DriveCtx::new(opts.cancel.as_ref());
+    ctx.telemetry.lane_bits = lane_bits(&pred);
     // The leaf enumeration cannot run the matcher after a trip: skip it
     // and return an empty (trivially valid) matching so cancellation
     // stays prompt.
@@ -340,6 +354,27 @@ mod tests {
             ex_superego(&b, &a, &with).pairs.len(),
             ex_superego(&b, &a, &without).pairs.len()
         );
+    }
+
+    #[test]
+    fn telemetry_reports_the_compare_path() {
+        let b = community("B", &[vec![1, 1], vec![4, 4]]);
+        let a = community("A", &[vec![1, 2], vec![9, 9], vec![4, 5]]);
+        let per_dim = CsjOptions::new(1).with_parts(2);
+        let mut parallel = per_dim.clone();
+        parallel.superego.threads = 2;
+        // The per-dimension predicate runs the chunked 32-bit compare,
+        // serial or parallel, Ap or Ex, and whatever the quant mode.
+        let off = per_dim.clone().with_quant(crate::quant::QuantMode::Off);
+        for opts in [&per_dim, &parallel, &off] {
+            assert_eq!(ap_superego(&b, &a, opts).telemetry.lane_bits, 32);
+            assert_eq!(ex_superego(&b, &a, opts).telemetry.lane_bits, 32);
+        }
+        // The L1 ablation is a scalar loop.
+        let mut l1 = per_dim;
+        l1.superego.l1_predicate = true;
+        assert_eq!(ap_superego(&b, &a, &l1).telemetry.lane_bits, 0);
+        assert_eq!(ex_superego(&b, &a, &l1).telemetry.lane_bits, 0);
     }
 
     #[test]

@@ -156,8 +156,10 @@ pub struct EngineStats {
     pub cached_pairs: usize,
     /// Joins executed since creation (screen + refine).
     pub joins_executed: u64,
-    /// Cache hits served.
+    /// Exact similarities served from the cache.
     pub cache_hits: u64,
+    /// Screens served from the cache (no screen join ran).
+    pub screen_cache_hits: u64,
     /// Kernel telemetry aggregated across every join the engine ran
     /// (cache hits contribute nothing — no kernel work happened).
     pub telemetry: JoinTelemetry,
@@ -169,15 +171,20 @@ impl std::fmt::Display for EngineStats {
         writeln!(f, "cached pairs:    {}", self.cached_pairs)?;
         writeln!(f, "joins executed:  {}", self.joins_executed)?;
         writeln!(f, "cache hits:      {}", self.cache_hits)?;
+        writeln!(f, "screen hits:     {}", self.screen_cache_hits)?;
         write!(f, "{}", self.telemetry)
     }
 }
 
+/// One pair-cache entry: the screen and exact scores of an oriented
+/// pair `(b, a)`, valid while both communities are still at the
+/// versions they had when the entry was first written.
 #[derive(Debug, Clone, Copy)]
-struct CacheEntry {
-    similarity: Similarity,
-    version_x: u64,
-    version_y: u64,
+struct PairEntry {
+    screen: Option<Similarity>,
+    exact: Option<Similarity>,
+    version_b: u64,
+    version_a: u64,
 }
 
 /// One registered community plus its (lazily rebuilt) prepared encoding.
@@ -221,11 +228,13 @@ pub struct CsjEngine {
     d: usize,
     entries: Vec<Registered>,
     names: HashMap<String, u32>,
-    /// Exact-similarity cache keyed by (smaller handle, larger handle);
-    /// `Mutex` so concurrent `&self` queries share it.
-    cache: Mutex<HashMap<(u32, u32), CacheEntry>>,
+    /// The pair cache: screen and exact scores keyed by the oriented
+    /// pair `(b, a)` ([`CsjEngine::oriented`]); `Mutex` so concurrent
+    /// `&self` queries share it.
+    cache: Mutex<HashMap<(u32, u32), PairEntry>>,
     joins_executed: AtomicU64,
     cache_hits: AtomicU64,
+    screen_cache_hits: AtomicU64,
     /// Aggregated kernel telemetry; a `Mutex` (not per-field atomics) so
     /// parallel screening workers merge whole [`JoinTelemetry`] blocks
     /// consistently — histograms and maxima don't decompose into
@@ -258,6 +267,7 @@ impl CsjEngine {
             cache: Mutex::new(HashMap::new()),
             joins_executed: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
+            screen_cache_hits: AtomicU64::new(0),
             telemetry: Mutex::new(JoinTelemetry::default()),
             #[cfg(feature = "fault-injection")]
             faults: None,
@@ -390,7 +400,7 @@ impl CsjEngine {
     /// concrete method *here*, before kernel dispatch, under the
     /// caller's `exactness` requirement (refinement demands an exact
     /// method even when the configured refine method is `Auto`, so the
-    /// exact-similarity cache stays exact). Every join — planned or
+    /// pair cache's exact slot stays exact). Every join — planned or
     /// pinned — feeds its measured latency back to the planner.
     fn join_prepared(
         &self,
@@ -569,28 +579,79 @@ impl CsjEngine {
     /// Orient a pair as (smaller B, larger A) with their handles; equal
     /// sizes tie-break on the handle so the cache key is canonical.
     fn oriented(&self, x: CommunityHandle, y: CommunityHandle) -> Result<(u32, u32), EngineError> {
-        let cx = self.community(x)?;
-        let cy = self.community(y)?;
-        Ok(match cx.len().cmp(&cy.len()) {
-            std::cmp::Ordering::Less => (x.0, y.0),
-            std::cmp::Ordering::Greater => (y.0, x.0),
-            std::cmp::Ordering::Equal => (x.0.min(y.0), x.0.max(y.0)),
-        })
+        self.community(x)?;
+        self.community(y)?;
+        Ok(self.orient(x.0, y.0))
     }
 
-    /// The cached exact similarity of the oriented pair `(b, a)`, if the
-    /// cache holds one that is still fresh (neither community changed
-    /// since the cached join).
-    fn cached_similarity(&self, b: u32, a: u32) -> Option<Similarity> {
+    /// [`oriented`](CsjEngine::oriented) for handles already known to
+    /// be registered.
+    fn orient(&self, x: u32, y: u32) -> (u32, u32) {
+        let len = |h: u32| self.entries[h as usize].community.len();
+        match len(x).cmp(&len(y)) {
+            std::cmp::Ordering::Less => (x, y),
+            std::cmp::Ordering::Greater => (y, x),
+            std::cmp::Ordering::Equal => (x.min(y), x.max(y)),
+        }
+    }
+
+    /// Whether `entry`, cached for the oriented pair `(b, a)`, is still
+    /// fresh: neither community changed since it was written.
+    fn is_fresh(&self, b: u32, a: u32, entry: &PairEntry) -> bool {
+        entry.version_b == self.entries[b as usize].version
+            && entry.version_a == self.entries[a as usize].version
+    }
+
+    /// The fresh pair-cache entry of the oriented pair `(b, a)`, if any.
+    fn cached(&self, b: u32, a: u32) -> Option<PairEntry> {
         self.cache
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .get(&(b, a))
-            .filter(|e| {
-                e.version_x == self.entries[b as usize].version
-                    && e.version_y == self.entries[a as usize].version
-            })
-            .map(|e| e.similarity)
+            .filter(|e| self.is_fresh(b, a, e))
+            .copied()
+    }
+
+    /// Fill one slot of the oriented pair's cache entry, starting a
+    /// fresh entry when there is none or the cached one is stale.
+    fn store(&self, b: u32, a: u32, fill: impl FnOnce(&mut PairEntry)) {
+        let empty = PairEntry {
+            screen: None,
+            exact: None,
+            version_b: self.entries[b as usize].version,
+            version_a: self.entries[a as usize].version,
+        };
+        let mut cache = self.cache.lock().unwrap_or_else(|e| e.into_inner());
+        let entry = cache.entry((b, a)).or_insert(empty);
+        if !self.is_fresh(b, a, entry) {
+            *entry = empty;
+        }
+        fill(entry);
+    }
+
+    /// Count one pair answered from its exact (`exact`) or screen slot
+    /// without a join, in the engine stats, the metrics and the
+    /// enclosing phase span.
+    fn on_cache_hit(&self, exact: bool, rec: Option<&QueryRecorder>) {
+        if exact {
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        } else {
+            self.screen_cache_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        self.obs.on_cache_hit(exact);
+        if let Some(rec) = rec {
+            rec.note_cache_hit();
+        }
+    }
+
+    /// The number of pairs whose exact score is cached.
+    fn cached_pairs(&self) -> usize {
+        self.cache
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .values()
+            .filter(|e| e.exact.is_some())
+            .count()
     }
 
     /// Exact similarity of a pair, cached. Recomputes only when either
@@ -618,10 +679,11 @@ impl CsjEngine {
     /// Similarity of a pair computed with an explicit `method` instead
     /// of the configured refine method. The engine's configured refine
     /// method delegates to [`similarity`](CsjEngine::similarity) and
-    /// uses the cache; any other method runs one uncached join, so a
-    /// degraded (Ap-*) answer never pollutes the exact-similarity
-    /// cache. This is the `similarity` rung of the service's
-    /// exact→approximate degradation ladder: per
+    /// uses the cache; any other method runs one uncached join that
+    /// reads and writes neither slot of the pair cache, so a degraded
+    /// (Ap-*) answer never pollutes the exact slot. This is the
+    /// `similarity` rung of the service's exact→approximate
+    /// degradation ladder: per
     /// [`CsjMethod::approximate_counterpart`], an Ap-* score is a lower
     /// bound within a factor of two of its Ex-* counterpart.
     pub fn similarity_with(
@@ -678,19 +740,32 @@ impl CsjEngine {
         rec: Option<&QueryRecorder>,
     ) -> Result<Similarity, EngineError> {
         let (b, a) = self.oriented(x, y)?;
-        if let Some(similarity) = self.cached_similarity(b, a) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            self.obs.on_cache_hit();
+        if let Some(similarity) = self.cached(b, a).and_then(|e| e.exact) {
+            self.on_cache_hit(true, rec);
             return Ok(similarity);
         }
+        self.refine_join(b, a, y, qopts, joins, rec)
+    }
+
+    /// The refine join of the oriented pair `(b, a)` whose exact slot
+    /// missed; a successful join fills the slot. A panic names `y`.
+    fn refine_join(
+        &self,
+        b: u32,
+        a: u32,
+        y: CommunityHandle,
+        qopts: &CsjOptions,
+        joins: &AtomicU64,
+        rec: Option<&QueryRecorder>,
+    ) -> Result<Similarity, EngineError> {
         let pb = self.prepared(b);
         let pa = self.prepared(a);
         let method = self.config.refine_method;
         let result = catch_unwind(AssertUnwindSafe(|| {
             self.fault_hook(b)?;
             self.fault_hook(a)?;
-            // The result lands in the exact-similarity cache, so an
-            // `Auto` refine method must resolve among exact methods.
+            // The result lands in the exact slot of the pair cache, so
+            // an `Auto` refine method must resolve among exact methods.
             self.join_prepared(method, Exactness::Exact, &pb, &pa, qopts, rec)
         }));
         let similarity = match result {
@@ -704,14 +779,7 @@ impl CsjEngine {
             }
         };
         joins.fetch_add(1, Ordering::Relaxed);
-        self.cache.lock().unwrap_or_else(|e| e.into_inner()).insert(
-            (b, a),
-            CacheEntry {
-                similarity,
-                version_x: self.entries[b as usize].version,
-                version_y: self.entries[a as usize].version,
-            },
-        );
+        self.store(b, a, |e| e.exact = Some(similarity));
         Ok(similarity)
     }
 
@@ -798,7 +866,9 @@ impl CsjEngine {
     /// on mass-balanced shards ([`CsjEngine::shard_layout`]), each shard
     /// screens its members in candidate order on the executor, and the
     /// merged states partition into a [`ScreenOutcome`] in candidate
-    /// order (shortlist best first). Closes the trace's `screen` phase.
+    /// order (shortlist best first). Candidates whose screen slot is
+    /// cached are neither prepared nor joined. Closes the trace's
+    /// `screen` phase.
     fn screen_phase(
         &self,
         x: CommunityHandle,
@@ -807,11 +877,20 @@ impl CsjEngine {
     ) -> Result<(ScreenOutcome, Coverage), EngineError> {
         self.community(x)?;
         let layout = self.shard_layout(candidates)?;
-        // Prepare every participant once on the calling thread, then
-        // fan the joins out over shared Arcs.
+        let pairs: Vec<(u32, u32)> = candidates.iter().map(|c| self.orient(x.0, c.0)).collect();
+        // Prepare every participant of a missed screen once on the
+        // calling thread, then fan the joins out over shared Arcs.
         let px = self.prepared(x.0);
-        let prepared: Vec<Arc<PreparedCommunity>> =
-            candidates.iter().map(|&c| self.prepared(c.0)).collect();
+        let inputs: Vec<ScreenInput> = candidates
+            .iter()
+            .zip(&pairs)
+            .map(
+                |(c, &(b, a))| match self.cached(b, a).and_then(|e| e.screen) {
+                    Some(similarity) => ScreenInput::Cached(similarity),
+                    None => ScreenInput::Join(self.prepared(c.0)),
+                },
+            )
+            .collect();
         let reports =
             self.shard_executor()
                 .run(layout.shards.len(), &run.budget.cancel_token(), |ctx| {
@@ -821,8 +900,9 @@ impl CsjEngine {
                         .map(|&idx| {
                             let state = self.screen_candidate(
                                 candidates[idx],
+                                pairs[idx],
+                                &inputs[idx],
                                 &px,
-                                &prepared[idx],
                                 &qopts,
                                 run,
                             );
@@ -857,31 +937,37 @@ impl CsjEngine {
     }
 
     /// Screen one candidate inside its shard: budget admission, then
-    /// the approximate join inside the per-candidate panic boundary.
-    /// `qopts` carries the shard attempt's cancel token.
+    /// the cached screen, or else the approximate join of the oriented
+    /// pair `(b, a)` inside the per-candidate panic boundary. `px` is
+    /// the query side's encoding; `qopts` carries the shard attempt's
+    /// cancel token.
     fn screen_candidate(
         &self,
         cand: CommunityHandle,
+        (b, a): (u32, u32),
+        input: &ScreenInput,
         px: &Arc<PreparedCommunity>,
-        py: &Arc<PreparedCommunity>,
         qopts: &CsjOptions,
         run: &QueryRun<'_>,
     ) -> Screened {
         if !run.admits() || qopts.is_cancelled() {
             return Screened::Skipped;
         }
+        let py = match input {
+            ScreenInput::Cached(similarity) => {
+                self.on_cache_hit(false, Some(&run.rec));
+                return Screened::Scored(*similarity);
+            }
+            ScreenInput::Join(py) => py,
+        };
+        let (pb, pa) = if b == cand.0 { (py, px) } else { (px, py) };
         let screened = catch_unwind(AssertUnwindSafe(|| {
             self.fault_hook(cand.0)?;
-            let (b, a) = if px.len() <= py.len() {
-                (px, py)
-            } else {
-                (py, px)
-            };
             self.join_prepared(
                 self.config.screen_method,
                 Exactness::Approximate,
-                b,
-                a,
+                pb,
+                pa,
                 qopts,
                 Some(&run.rec),
             )
@@ -896,6 +982,7 @@ impl CsjEngine {
             }
             Ok(Ok(similarity)) => {
                 run.joins.fetch_add(1, Ordering::Relaxed);
+                self.store(b, a, |e| e.screen = Some(similarity));
                 Screened::Scored(similarity)
             }
             Ok(Err(EngineError::Csj(CsjError::SizeConstraint { .. }))) => Screened::Inadmissible,
@@ -1065,9 +1152,9 @@ impl CsjEngine {
     /// shard's range is lost, [`PairsSweep::cursor`] names the first
     /// pair not processed, and [`PairsSweep::pairs`] holds exactly the
     /// hits before it — so a later call (with a fresh budget) picks up
-    /// where this one left off. Pairs already refined are served from
-    /// the cache. Pairs whose join panicked or faulted land in
-    /// [`PairsSweep::failed`] and the sweep carries on.
+    /// where this one left off. Pairs already refined or screened are
+    /// served from the pair cache. Pairs whose join panicked or faulted
+    /// land in [`PairsSweep::failed`] and the sweep carries on.
     pub fn pairs_above_with_budget(
         &self,
         threshold: f64,
@@ -1078,11 +1165,12 @@ impl CsjEngine {
     }
 
     /// Degraded broadcast sweep: *approximate only*. Each admissible
-    /// pair gets one join with the screening (Ap-*) method and is
-    /// reported when its approximate similarity reaches `threshold`;
-    /// no exact refinement runs and the exact-similarity cache is
-    /// neither consulted nor written. Because approximate CSJ never
-    /// over-counts, every returned pair truly clears the threshold —
+    /// pair gets one screen with the screening (Ap-*) method — from the
+    /// pair cache's screen slot when cached, else one join that fills
+    /// it — and is reported when its approximate similarity reaches
+    /// `threshold`; no exact refinement runs, and of the pair cache
+    /// only the screen slot is read or written. Because approximate CSJ
+    /// never over-counts, every returned pair truly clears the threshold —
     /// the sweep can only *miss* pairs whose exact similarity is
     /// between `threshold` and `2 * threshold` of the reported bound
     /// (greedy maximal matchings reach at least half the maximum).
@@ -1157,7 +1245,7 @@ impl CsjEngine {
         // The result is the processed prefix of the canonical order; the
         // cursor is the first pair after it, whether the budget stopped
         // its range or the range was lost. Hits past the cursor are
-        // dropped: a resume recomputes them (refined ones from cache).
+        // dropped: a resume recomputes them (from the pair cache).
         let cut = states
             .iter()
             .position(|s| !s.as_ref().is_some_and(ShardUnit::processed))
@@ -1214,10 +1302,11 @@ impl CsjEngine {
             .collect()
     }
 
-    /// One pair of the broadcast sweep: admissibility, cheap screen with
-    /// the safe `threshold / 2` skip bound, then cached exact refine.
-    /// With `approx` the screen join *is* the answer (degraded mode):
-    /// accept on the approximate score, skip refinement and the cache.
+    /// One pair of the broadcast sweep: admissibility, the cached exact
+    /// score, else the screen (cached or joined) with the safe
+    /// `threshold / 2` skip bound, then the exact refine. With `approx`
+    /// the screen *is* the answer (degraded mode): accept on the
+    /// approximate score, and leave the exact slot alone.
     #[allow(clippy::too_many_arguments)]
     fn sweep_pair(
         &self,
@@ -1238,55 +1327,50 @@ impl CsjEngine {
         {
             return Ok(None);
         }
-        if approx {
-            self.fault_hook(b)?;
-            self.fault_hook(a)?;
-            let pb = self.prepared(b);
-            let pa = self.prepared(a);
-            let screened = self.join_prepared(
-                self.config.screen_method,
-                Exactness::Approximate,
-                &pb,
-                &pa,
-                qopts,
-                rec,
-            )?;
-            joins.fetch_add(1, Ordering::Relaxed);
-            return Ok((screened.ratio() >= threshold).then_some(PairScore {
-                x,
-                y,
-                similarity: screened,
-            }));
+        let cached = self.cached(b, a);
+        let above = |similarity: Similarity| {
+            (similarity.ratio() >= threshold).then_some(PairScore { x, y, similarity })
+        };
+        if let Some(exact) = cached.and_then(|e| e.exact).filter(|_| !approx) {
+            self.on_cache_hit(true, rec);
+            return Ok(above(exact));
         }
-        // Phase 1: cheap screen (unless already cached exactly).
-        if self.cached_similarity(b, a).is_none() {
-            self.fault_hook(b)?;
-            self.fault_hook(a)?;
-            let pb = self.prepared(b);
-            let pa = self.prepared(a);
-            let screened = self.join_prepared(
-                self.config.screen_method,
-                Exactness::Approximate,
-                &pb,
-                &pa,
-                qopts,
-                rec,
-            )?;
-            joins.fetch_add(1, Ordering::Relaxed);
-            // Maximal matchings reach at least half the maximum, so a
-            // screened ratio below threshold/2 proves the exact ratio is
-            // below threshold.
-            if screened.ratio() < threshold / 2.0 {
-                return Ok(None);
+        // Phase 1: cheap screen.
+        let screened = match cached.and_then(|e| e.screen) {
+            Some(screened) => {
+                self.on_cache_hit(false, rec);
+                screened
             }
+            None => {
+                self.fault_hook(b)?;
+                self.fault_hook(a)?;
+                let pb = self.prepared(b);
+                let pa = self.prepared(a);
+                let screened = self.join_prepared(
+                    self.config.screen_method,
+                    Exactness::Approximate,
+                    &pb,
+                    &pa,
+                    qopts,
+                    rec,
+                )?;
+                joins.fetch_add(1, Ordering::Relaxed);
+                self.store(b, a, |e| e.screen = Some(screened));
+                screened
+            }
+        };
+        if approx {
+            return Ok(above(screened));
         }
-        // Phase 2: exact (cached).
-        let similarity = self.refine_pair(x, y, qopts, joins, rec)?;
-        if similarity.ratio() >= threshold {
-            Ok(Some(PairScore { x, y, similarity }))
-        } else {
-            Ok(None)
+        // Maximal matchings reach at least half the maximum, so a
+        // screened ratio below threshold/2 proves the exact ratio is
+        // below threshold.
+        if screened.ratio() < threshold / 2.0 {
+            return Ok(None);
         }
+        // Phase 2: exact.
+        let similarity = self.refine_join(b, a, y, qopts, joins, rec)?;
+        Ok(above(similarity))
     }
 
     /// Resolve the cost-based plan for one pair without running a join:
@@ -1358,8 +1442,7 @@ impl CsjEngine {
     /// [`MetricsSnapshot::to_prometheus`] or
     /// [`MetricsSnapshot::to_json`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let cached = self.cache.lock().unwrap_or_else(|e| e.into_inner()).len();
-        self.obs.snapshot(self.entries.len(), cached)
+        self.obs.snapshot(self.entries.len(), self.cached_pairs())
     }
 
     /// Count `n` records quarantined by a data loader in the
@@ -1397,12 +1480,20 @@ impl CsjEngine {
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             communities: self.entries.len(),
-            cached_pairs: self.cache.lock().unwrap_or_else(|e| e.into_inner()).len(),
+            cached_pairs: self.cached_pairs(),
             joins_executed: self.joins_executed.load(Ordering::Relaxed),
             cache_hits: self.cache_hits.load(Ordering::Relaxed),
+            screen_cache_hits: self.screen_cache_hits.load(Ordering::Relaxed),
             telemetry: *self.telemetry.lock().unwrap_or_else(|e| e.into_inner()),
         }
     }
+}
+
+/// What the screen phase holds for a candidate before its shard runs:
+/// the pair's cached screen, or the candidate's encoding for the join.
+enum ScreenInput {
+    Cached(Similarity),
+    Join(Arc<PreparedCommunity>),
 }
 
 /// Per-candidate result of the screen phase.
@@ -2116,6 +2207,40 @@ mod tests {
             1,
             "degraded join must not touch the exact cache"
         );
+    }
+
+    #[test]
+    fn similarity_with_another_method_reads_no_slot() {
+        let (engine, a, n, _) = engine_with_three();
+        engine.top_k_similar(a, 5).unwrap(); // fills both slots of (a, n)
+        let joins = engine.stats().joins_executed;
+        engine.similarity_with(a, n, CsjMethod::ApMinMax).unwrap();
+        engine.similarity_with(a, n, CsjMethod::ExHybrid).unwrap();
+        let stats = engine.stats();
+        assert_eq!(stats.joins_executed, joins + 2, "both ran a join");
+        assert_eq!((stats.cache_hits, stats.screen_cache_hits), (0, 0));
+    }
+
+    #[test]
+    fn store_replaces_a_stale_entry() {
+        let (engine, a, n, _) = engine_with_three();
+        let (b, a) = engine.orient(a.0, n.0);
+        engine.store(b, a, |e| e.exact = Some(Similarity::new(3, 4)));
+        assert!(engine.cached(b, a).is_some());
+        // An entry written under other versions is stale: invisible to
+        // lookups, and replaced whole by the next store.
+        engine
+            .cache
+            .lock()
+            .unwrap()
+            .get_mut(&(b, a))
+            .unwrap()
+            .version_a += 1;
+        assert!(engine.cached(b, a).is_none());
+        engine.store(b, a, |e| e.screen = Some(Similarity::new(2, 4)));
+        let entry = engine.cached(b, a).expect("fresh again");
+        assert_eq!(entry.exact, None, "the stale exact score is gone");
+        assert_eq!(entry.screen, Some(Similarity::new(2, 4)));
     }
 
     #[test]

@@ -104,6 +104,7 @@ pub(crate) struct EngineObs {
     join_panics: Arc<Counter>,
     faults: Arc<Counter>,
     cache_hits: Arc<Counter>,
+    screen_cache_hits: Arc<Counter>,
     quarantined: Arc<Counter>,
     rows_driven: Arc<Counter>,
     candidates_streamed: Arc<Counter>,
@@ -241,6 +242,11 @@ impl EngineObs {
             cache_hits: registry.counter(
                 "csj_cache_hits_total",
                 "Exact-similarity queries served from the cache.",
+                vec![],
+            ),
+            screen_cache_hits: registry.counter(
+                "csj_screen_cache_hits_total",
+                "Screens served from the pair cache's screen slot instead of a join.",
                 vec![],
             ),
             quarantined: registry.counter(
@@ -455,9 +461,16 @@ impl EngineObs {
         }
     }
 
-    pub(crate) fn on_cache_hit(&self) {
-        if self.enabled {
+    /// Count one pair served from the pair cache: from its exact slot
+    /// (`exact`) or its screen slot.
+    pub(crate) fn on_cache_hit(&self, exact: bool) {
+        if !self.enabled {
+            return;
+        }
+        if exact {
             self.cache_hits.inc();
+        } else {
+            self.screen_cache_hits.inc();
         }
     }
 
@@ -564,6 +577,8 @@ pub(crate) struct QueryRecorder {
     phases: Mutex<Vec<Span>>,
     joins_dropped: AtomicU64,
     joins_recorded: AtomicU64,
+    /// Pairs served from the pair cache since the last phase boundary.
+    cache_hits: AtomicU64,
     telemetry: Mutex<JoinTelemetry>,
     budget: Mutex<Option<(&'static str, u64, u64)>>,
     coverage: Mutex<Option<Coverage>>,
@@ -593,6 +608,7 @@ impl QueryRecorder {
             phases: Mutex::new(Vec::new()),
             joins_dropped: AtomicU64::new(0),
             joins_recorded: AtomicU64::new(0),
+            cache_hits: AtomicU64::new(0),
             telemetry: Mutex::new(JoinTelemetry::default()),
             budget: Mutex::new(None),
             coverage: Mutex::new(None),
@@ -702,9 +718,17 @@ impl QueryRecorder {
         joins.push(span);
     }
 
+    /// Note one pair of the current phase served from the pair cache.
+    pub(crate) fn note_cache_hit(&self) {
+        if self.on {
+            self.cache_hits.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
     /// Close the phase that started at `start_us`: every join recorded
     /// since the previous phase boundary becomes a child of one
-    /// `name` span, and the shard fates noted since then become its
+    /// `name` span, the cache hits noted since then its `cache_hits`
+    /// attribute, and the shard fates noted since then its
     /// `shards` / `shard_fates` attributes.
     pub(crate) fn end_phase(&self, name: &'static str, start_us: u64) {
         if !self.on {
@@ -716,7 +740,8 @@ impl QueryRecorder {
             std::mem::take(&mut *self.shard_fates.lock().unwrap_or_else(|e| e.into_inner()));
         let mut span = Span::new(name)
             .at(start_us, self.now_us().saturating_sub(start_us))
-            .attr("joins", children.len());
+            .attr("joins", children.len())
+            .attr("cache_hits", self.cache_hits.swap(0, Ordering::Relaxed));
         if !fates.is_empty() {
             span = span
                 .attr("shards", fates.len())

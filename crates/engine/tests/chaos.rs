@@ -14,6 +14,12 @@ use csj_core::Community;
 use csj_engine::fault::FaultPlan;
 use csj_engine::{Budget, CommunityHandle, CsjEngine, EngineConfig, EngineError, ExhaustReason};
 
+fn screen_joins(engine: &CsjEngine) -> u64 {
+    engine
+        .metrics_snapshot()
+        .counter_value("csj_joins_total", &[("method", "ap-minmax")])
+}
+
 fn community(name: &str, rows: &[[u32; 2]]) -> Community {
     Community::from_rows(
         name,
@@ -236,4 +242,66 @@ fn panicked_pairs_are_not_cached_as_results() {
     let healthy = engine.screen(x, &candidates).unwrap();
     assert!(healthy.failed.is_empty());
     assert_eq!(scored(&healthy), candidates.len());
+}
+
+#[test]
+fn panicked_faulted_and_cancelled_screens_are_not_cached() {
+    for fault in ["panic", "error"] {
+        let (mut engine, x, candidates) = engine_with_candidates();
+        let victim = candidates[1];
+        let plan = match fault {
+            "panic" => FaultPlan::new().panic_on(victim.0),
+            _ => FaultPlan::new().error_on(victim.0),
+        };
+        engine.inject_faults(plan);
+        assert_eq!(engine.screen(x, &candidates).unwrap().failed.len(), 1);
+        engine.clear_faults();
+        let (screens, hits) = (screen_joins(&engine), engine.stats().screen_cache_hits);
+        let healthy = engine.screen(x, &candidates).unwrap();
+        assert!(healthy.failed.is_empty());
+        assert_eq!(scored(&healthy), candidates.len());
+        assert_eq!(
+            screen_joins(&engine) - screens,
+            1,
+            "{fault}: only the victim is screened again"
+        );
+        assert_eq!(
+            engine.stats().screen_cache_hits - hits,
+            candidates.len() as u64 - 1,
+            "{fault}: the healthy screens were cached"
+        );
+    }
+
+    // Cancelled mid-join: the stalled fault hook outlasts the external
+    // cancel, so the join starts on a tripped token and is truncated.
+    let (mut engine, x, candidates) = engine_with_candidates();
+    let victim = candidates[0];
+    engine.inject_faults(FaultPlan::new().slow_on(victim.0, Duration::from_millis(300)));
+    let budget = Budget::unlimited();
+    let token = budget.cancel_token();
+    let partial = std::thread::scope(|s| {
+        s.spawn(move || {
+            std::thread::sleep(Duration::from_millis(30));
+            token.cancel();
+        });
+        engine.screen_with_budget(x, &[victim], &budget).unwrap()
+    });
+    assert_eq!(partial.value.skipped, vec![victim]);
+    assert_eq!(
+        engine
+            .metrics_snapshot()
+            .counter_value("csj_joins_cancelled_total", &[]),
+        1,
+        "the screen join ran and was truncated"
+    );
+    engine.clear_faults();
+    let screens = screen_joins(&engine);
+    let healthy = engine.screen(x, &[victim]).unwrap();
+    assert_eq!(scored(&healthy), 1);
+    assert_eq!(
+        screen_joins(&engine) - screens,
+        1,
+        "the truncated screen was not cached"
+    );
+    assert_eq!(engine.stats().screen_cache_hits, 0);
 }

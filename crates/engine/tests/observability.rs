@@ -142,6 +142,57 @@ fn top_k_trace_has_screen_and_refine_phases_with_join_spans() {
 }
 
 #[test]
+fn warm_traces_show_their_cache_hits() {
+    let (engine, a, _, _) = engine_with_three();
+    engine.top_k_similar(a, 5).unwrap();
+    engine.pairs_above(0.5).unwrap();
+    let cold = engine.traces(2);
+    let screen = cold[0].root.find("screen").expect("screen phase");
+    assert_eq!(
+        screen.get_attr("cache_hits").map(ToString::to_string),
+        Some("0".into())
+    );
+
+    engine.top_k_similar(a, 5).unwrap();
+    engine.pairs_above(0.5).unwrap();
+    let warm = engine.traces(2);
+    // Both candidates come from their screen slots, the shortlisted
+    // one's refine from its exact slot: no join spans at all.
+    let screen = warm[0].root.find("screen").expect("screen phase");
+    assert!(screen.children.is_empty(), "no screen joins");
+    assert_eq!(
+        screen.get_attr("cache_hits").map(ToString::to_string),
+        Some("2".into())
+    );
+    let refine = warm[0].root.find("refine").expect("refine phase");
+    assert_eq!(
+        refine.get_attr("cache_hits").map(ToString::to_string),
+        Some("1".into())
+    );
+    // Three pairs: every one answered from the cache.
+    let sweep = warm[1].root.find("sweep").expect("sweep phase");
+    assert!(sweep.children.is_empty(), "no sweep joins");
+    assert_eq!(
+        sweep.get_attr("cache_hits").map(ToString::to_string),
+        Some("3".into())
+    );
+
+    let snap = engine.metrics_snapshot();
+    let stats = engine.stats();
+    assert!(stats.screen_cache_hits > 0);
+    assert_eq!(
+        snap.counter_value("csj_screen_cache_hits_total", &[]),
+        stats.screen_cache_hits
+    );
+    assert_eq!(
+        snap.counter_value("csj_cache_hits_total", &[]),
+        stats.cache_hits
+    );
+    // The gauge still counts exact entries only.
+    assert_eq!(snap.counter_value("csj_cached_pairs", &[]), 1);
+}
+
+#[test]
 fn disabled_observability_records_nothing() {
     let mut config = EngineConfig::new(1);
     config.obs.enabled = false;
@@ -170,5 +221,6 @@ fn engine_stats_display_is_human_readable() {
     let text = engine.stats().to_string();
     assert!(text.contains("communities:     3"));
     assert!(text.contains("joins executed:  1"));
+    assert!(text.contains("screen hits:     0"));
     assert!(text.contains("rows driven"), "telemetry block included");
 }

@@ -115,6 +115,46 @@ fn sharded_pairs_above_matches_flat() {
 }
 
 #[test]
+fn warm_answers_equal_cold_answers_at_every_layout() {
+    let reference = skewed_engine(37, 1, 1);
+    let handles: Vec<_> = reference.handles().collect();
+    let top_k = |engine: &CsjEngine| -> Vec<_> {
+        handles
+            .iter()
+            .map(|&h| engine.top_k_similar(h, 4).expect("top-k"))
+            .collect()
+    };
+    let flat_topk = top_k(&reference);
+    let flat_pairs = reference.pairs_above(0.2).expect("one-shard sweep");
+
+    for shards in [1usize, 2, 3, 5, 8] {
+        for threads in [1usize, 2, 4] {
+            let engine = skewed_engine(37, threads, shards);
+            for pass in ["cold", "warm"] {
+                assert_eq!(
+                    top_k(&engine),
+                    flat_topk,
+                    "{pass} top-k diverged at shards={shards} threads={threads}"
+                );
+                let swept = engine
+                    .pairs_above_with_budget(0.2, &Budget::unlimited(), None)
+                    .expect("sweep");
+                assert_eq!(
+                    swept.value.pairs, flat_pairs,
+                    "{pass} sweep diverged at shards={shards} threads={threads}"
+                );
+                let cov = swept.coverage;
+                assert!(cov.identity_holds() && !cov.is_partial(), "{cov}");
+            }
+            assert!(
+                engine.stats().screen_cache_hits > 0,
+                "warm passes hit the cache"
+            );
+        }
+    }
+}
+
+#[test]
 fn two_thread_sweep_runs_on_two_shards() {
     // Auto shard count: one contiguous range of the canonical pair
     // order per engine thread.
